@@ -104,7 +104,8 @@ def _add_common_args(p: argparse.ArgumentParser, orders_default: str = "2,4,6") 
     p.add_argument("--temp", type=float, default=300.0,
                    help="temperature in kelvin (default 300)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the rate kernels (default 1)")
+                   help="worker threads for the rate kernels, at least 1 "
+                        "(default 1)")
     _add_shape_args(p)
 
 
@@ -145,25 +146,28 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _channel_columns(model: Model, transition, orders, temps_like, temperature_of,
-                     shape, threads):
-    """Per-channel rate columns (s^-1) at a fixed transition, one row per point."""
+def _channel_columns(model: Model, transition, orders, temperature, shape, threads,
+                     scales=None):
+    """Per-channel rate columns (s^-1) at a fixed transition, one row per point.
+
+    The points are the temperatures, or the coupling scales at one
+    temperature; each order takes one multi-point rate call.
+    """
     b, a = transition
     header = [
         f"r{order}[{pattern.label}]_s^-1"
         for order in orders
         for pattern in sign_patterns(order // 2)
     ]
-    rows = []
-    for point in temps_like:
-        row = []
-        point_model, temp = temperature_of(point)
-        system, bath, couplings = point_model
-        for order in orders:
-            bd = rate_at_order(order, b, a, system, bath, couplings, temp, shape,
-                               threads=threads)
-            row.extend(bd.per_channel[p] for p in sign_patterns(order // 2))
-        rows.append(row)
+    per_order = [
+        rate_at_order(order, b, a, *model, temperature, shape, threads=threads,
+                      scales=scales)
+        for order in orders
+    ]
+    rows = [
+        [value for bd in point for value in bd.per_channel.values()]
+        for point in zip(*per_order)
+    ]
     return header, rows
 
 
@@ -218,10 +222,8 @@ def _cmd_sweep_temp(args: argparse.Namespace) -> int:
                                threads=args.threads)
     extra = None
     if args.channels:
-        extra = _channel_columns(
-            model, args.transition, args.orders, args.grid,
-            lambda t: (model, float(t)), shape, args.threads,
-        )
+        extra = _channel_columns(model, args.transition, args.orders, args.grid,
+                                 shape, args.threads)
     _emit(_sweep_csv("temperature_K", series.axis, series.t1_per_order, extra),
           args.output)
     return 0
@@ -246,13 +248,8 @@ def _cmd_sweep_lambda(args: argparse.Namespace) -> int:
                           threads=args.threads)
     extra = None
     if args.channels:
-        from .core import with_coupling_scale
-
-        extra = _channel_columns(
-            model, args.transition, args.orders, args.grid,
-            lambda lam: (with_coupling_scale(model, float(lam)), args.temp),
-            shape, args.threads,
-        )
+        extra = _channel_columns(model, args.transition, args.orders, args.temp,
+                                 shape, args.threads, scales=args.grid)
     _emit(_sweep_csv("lambda", series.axis, series.t1_per_order, extra), args.output)
     return 0
 

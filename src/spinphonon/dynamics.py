@@ -83,30 +83,46 @@ def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
 
 def order_generator_matrices(
     model: Model,
-    temperature: float,
+    temperature: float | Sequence[float],
     shape: Lineshape,
     orders: Iterable[int] = _VALID_ORDERS,
     threads: int = 1,
+    *,
+    mode_limits: Sequence[int] | None = None,
+    scales: Sequence[float] | None = None,
 ) -> dict[int, np.ndarray]:
-    """One column-sum-zero generator matrix per requested order, in s^-1."""
+    """One column-sum-zero generator matrix per requested order, in s^-1.
+
+    At one point each matrix is N x N. Points given as in ``rate_at_order``
+    (a temperature list, ``mode_limits`` or ``scales``) stack the matrices
+    along a leading axis, one per point, from one rate call per transition
+    and order.
+    """
     validate_model(model)
     orders = _check_orders(orders)
     system, bath, couplings = model
     n = system.n_states
+    single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
     out: dict[int, np.ndarray] = {}
     for order in orders:
-        m = np.zeros((n, n))
+        per_point = {}
         for a in range(n):
             for b in range(n):
-                if b == a:
-                    continue
-                m[b, a] = rate_at_order(
-                    order, b, a, system, bath, couplings, temperature, shape,
-                    threads=threads,
-                ).total
-        for a in range(n):
-            m[a, a] = -m[:, a].sum()
-        out[order] = m
+                if b != a:
+                    rates = rate_at_order(
+                        order, b, a, system, bath, couplings, temperature, shape,
+                        threads=threads, mode_limits=mode_limits, scales=scales,
+                    )
+                    per_point[b, a] = [rates] if single else rates
+        matrices = []
+        for point in range(len(per_point[1, 0])):
+            m = np.zeros((n, n))
+            for (b, a), rates in per_point.items():
+                m[b, a] = rates[point].total
+            for a in range(n):
+                m[a, a] = -m[:, a].sum()
+            matrices.append(m)
+        out[order] = matrices[0] if single else np.stack(matrices)
     return out
 
 

@@ -1,27 +1,40 @@
 """Population-transfer rates at second, fourth, and sixth perturbative order.
 
-Each order produces one rate per absorb/emit channel. The one-phonon rate
-is a plain mode sum; the two- and three-phonon rates sum squared
-symmetrized amplitudes (all orderings of the participating modes) over
-index-ordered pairs and triples. Pair and triple sums are pruned with the
-windowed lineshape: only combinations whose energy mismatch lies inside
-window * sigma can contribute, and the admissible third index is located
-by binary search on the sorted mode frequencies.
+Each order produces one rate per absorb/emit channel, and every channel
+has the same shape: a sum over mode tuples of three factors.
 
-Surviving triples are evaluated vectorized in fixed-size chunks, and the
-chunk partial sums are reduced in chunk order. The chunk boundaries do not
-depend on the thread count, so results are bit-identical for any
-``threads`` value; ``threads=1`` is the strictly sequential reference
-mode.
+- |A|^2, the squared symmetrized amplitude (all orderings of the
+  participating modes), which depends on neither temperature nor coupling
+  scale. For one phonon it is |V^alpha_ba|^2.
+- The windowed lineshape at the tuple's energy mismatch.
+- A product of Bose factors, the only place temperature enters.
+
+The coupling scale multiplies the finished channel sum as the exact factor
+lambda**order. The one-phonon sum runs over every mode; the two- and
+three-phonon sums run over index-ordered pairs and triples pruned with the
+windowed lineshape: only combinations whose energy mismatch lies inside
+window * sigma can contribute, and the admissible last index is located by
+binary search on the sorted mode frequencies.
+
+One call evaluates a channel at one point or at many: several
+temperatures, several mode limits (phonon cutoffs) at one temperature, or
+several coupling scales. Surviving tuples are evaluated vectorized in
+fixed-size chunks; each chunk's |A|^2 is computed once and reduced against
+every point, and the chunk partial sums are added in chunk order. The
+chunk boundaries do not depend on the thread count, so results are
+bit-identical for any ``threads`` value; ``threads=1`` is the strictly
+sequential reference mode.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,11 +88,14 @@ class RateBreakdown:
         return self.per_channel[SignPattern.from_label(label)]
 
 
-def _breakdown(order: int, values: dict[SignPattern, float]) -> RateBreakdown:
+def _breakdown(
+    order: int, sums: dict[SignPattern, float], scale: float
+) -> RateBreakdown:
+    """Scale-free channel sums (cm^-1) to rates in s^-1 at one coupling scale."""
     total = 0.0
     ordered = {}
     for pattern in sign_patterns(order // 2):
-        v = values[pattern]
+        v = _TWO_PI * sums[pattern] * scale**order * CM_TO_RATE_S
         ordered[pattern] = v
         total += v
     return RateBreakdown(order=order, per_channel=ordered, total=total)
@@ -96,9 +112,12 @@ def _check_transition(b: int, a: int, n_states: int) -> None:
 
 
 def _occupations(frequencies: np.ndarray, temperature: float) -> np.ndarray:
-    """Bose occupations per mode; exact 0 where the exponent underflows."""
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
+    """Bose occupations per mode; exact 0 where the exponent underflows.
+
+    Every temperature a rate is evaluated at passes through here.
+    """
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError(f"temperature must be finite and positive, got {temperature}")
     x = frequencies / (BOLTZMANN_CM_PER_K * temperature)
     out = np.zeros_like(x)
     small = x <= _EXP_ARG_MAX
@@ -119,38 +138,15 @@ def _weights(mismatch: np.ndarray, shape: Lineshape) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# one-phonon
-
-
-def rate_one_phonon(
-    b: int,
-    a: int,
-    system: SpinSystem,
-    bath: PhononBath,
-    couplings: CouplingSet,
-    temperature: float,
-    shape: Lineshape,
-) -> RateBreakdown:
-    """Direct-process rate R_ba, split into emission and absorption.
-
-    Each channel is 2 pi sum_alpha |V^alpha_ba|^2 times the channel weight
-    (Bose factor and broadened delta at omega_ba + s omega_alpha),
-    converted to s^-1.
-    """
-    _check_transition(b, a, system.n_states)
-    omega_ba = system.transition_frequency(b, a)
-    freqs = bath.frequencies
-    v2 = np.abs(couplings.matrices[:, b, a]) ** 2
-    occ = _occupations(freqs, temperature)
-    channels: dict[SignPattern, float] = {}
-    for pattern in sign_patterns(1):
-        s = pattern.signs[0]
-        factor = occ + 1.0 if s == EMIT else occ
-        wts = _weights(omega_ba + s * freqs, shape)
-        base = float(np.sum(v2 * (factor * wts)))
-        channels[pattern] = _TWO_PI * base * couplings.scale**2 * CM_TO_RATE_S
-    return _breakdown(2, channels)
+def _bose_product(
+    occ: np.ndarray, sel: tuple[np.ndarray, ...], signs: tuple[int, ...]
+) -> np.ndarray:
+    """n + 1 per emitted and n per absorbed phonon, multiplied left to right."""
+    factors = 1.0
+    for s, ix in zip(signs, sel):
+        n = occ[ix]
+        factors = factors * (n + 1.0 if s == EMIT else n)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +269,69 @@ def prune_triples(
     return [TripleIndex(int(x), int(y), int(z)) for x, y, z in zip(ai, bi, gi)]
 
 
+def _prune(
+    order: int,
+    omega_ba: float,
+    pattern: SignPattern,
+    bath: PhononBath,
+    shape: Lineshape,
+) -> tuple[np.ndarray, ...]:
+    """Surviving tuples of one channel as one index array per phonon."""
+    if order == 2:
+        # the one-phonon sum is not pruned: it runs over every mode
+        return (np.arange(bath.n_modes, dtype=np.int64),)
+    if order == 4:
+        return _prune_pairs(omega_ba, pattern, bath, shape)
+    return _prune_triples_arrays(omega_ba, pattern, bath, shape)
+
+
+# ---------------------------------------------------------------------------
+# amplitudes: |A|^2 and the smallest |real denominator| of one chunk
+
+
+def _single_amp2(b, a, sel, signs, d_e, freqs, v, eta) -> tuple[np.ndarray, float]:
+    return np.abs(v[sel[0], b, a]) ** 2, np.inf
+
+
+def _pair_amp2(b, a, sel, signs, d_e, freqs, v, eta) -> tuple[np.ndarray, float]:
+    w_sel = (freqs[sel[0]], freqs[sel[1]])
+    amp = np.zeros(sel[0].size, dtype=complex)
+    min_abs = np.inf
+    for p, q in _PERMS2:
+        real_den = d_e[None, :] + (signs[q] * w_sel[q])[:, None]
+        min_abs = min(min_abs, float(np.min(np.abs(real_den))))
+        den = real_den + 1j * eta
+        amp += np.einsum("tc,tc->t", v[sel[p]][:, b, :], v[sel[q]][:, :, a] / den)
+    return amp.real**2 + amp.imag**2, min_abs
+
+
+def _triple_amp2(b, a, sel, signs, d_e, freqs, v, eta) -> tuple[np.ndarray, float]:
+    w_sel = tuple(freqs[s] for s in sel)
+    amp = np.zeros(sel[0].size, dtype=complex)
+    min_abs = np.inf
+    for p, q, r in _PERMS3:
+        shift1 = signs[q] * w_sel[q] + signs[r] * w_sel[r]
+        shift2 = signs[r] * w_sel[r]
+        real1 = d_e[None, :] + shift1[:, None]
+        real2 = d_e[None, :] + shift2[:, None]
+        min_abs = min(
+            min_abs,
+            float(np.min(np.abs(real1))),
+            float(np.min(np.abs(real2))),
+        )
+        den1 = real1 + 1j * eta
+        den2 = real2 + 1j * eta
+        right = v[sel[r]][:, :, a] / den2
+        inner = np.einsum("tcd,td->tc", v[sel[q]], right)
+        amp += np.einsum("tc,tc->t", v[sel[p]][:, b, :], inner / den1)
+    return amp.real**2 + amp.imag**2, min_abs
+
+
+_AMPLITUDES = {2: _single_amp2, 4: _pair_amp2, 6: _triple_amp2}
+
+_PHONONS = {4: "two", 6: "three"}
+
+
 # ---------------------------------------------------------------------------
 # chunked deterministic reduction
 
@@ -281,55 +340,209 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
 
-def _reduce_chunks(task, n: int, threads: int) -> tuple[float, float]:
+def _reduce_chunks(task, n: int, threads: int) -> tuple[np.ndarray, float]:
     """Sum task(lo, hi) over fixed chunks, reducing in chunk order.
 
-    ``task`` returns (partial_sum, min_abs_denominator). The reduction
+    ``task`` returns (partial sums, one per point; min_abs_denominator).
+    The pool never has more workers than chunks or CPUs. The reduction
     order never depends on the thread count, so the result is bit-stable.
     """
     ranges = _chunk_ranges(n)
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(ranges), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda r: task(*r), ranges))
     else:
         results = [task(lo, hi) for lo, hi in ranges]
     total = 0.0
     min_abs = np.inf
     for partial, chunk_min in results:
-        total += partial
+        total = total + partial
         min_abs = min(min_abs, chunk_min)
     return total, min_abs
 
 
 # ---------------------------------------------------------------------------
-# two-phonon
+# rates at many points
 
 
-def _pair_chunk_sum(
+def _check_points(
+    temperatures: np.ndarray,
+    mode_limits: Sequence[int] | None,
+    scales: Sequence[float] | None,
+    n_modes: int,
+) -> tuple[np.ndarray | None, list[float] | None]:
+    """Validated mode limits and scales; at most one axis may hold several points.
+
+    Temperatures are checked one by one where their occupations are formed.
+    """
+    axes = (temperatures.ndim != 0) + (mode_limits is not None) + (scales is not None)
+    if temperatures.ndim > 1 or axes > 1:
+        raise ValueError(
+            "give several points along one axis only: temperatures, mode "
+            "limits, or coupling scales"
+        )
+    if temperatures.ndim == 1 and not temperatures.size:
+        raise ValueError("temperatures must not be empty")
+    limits = None
+    if mode_limits is not None:
+        limits = np.asarray(mode_limits)
+        if (limits.ndim != 1 or not limits.size
+                or not np.issubdtype(limits.dtype, np.integer)
+                or np.any(limits < 0) or np.any(limits > n_modes)
+                or np.any(np.diff(limits) < 0)):
+            raise ValueError(
+                "mode_limits must be a non-empty, non-decreasing 1-d list of "
+                f"integers in [0, {n_modes}]"
+            )
+    if scales is not None:
+        scales = np.asarray(scales, dtype=float)
+        if (scales.ndim != 1 or not scales.size
+                or not np.all(np.isfinite(scales) & (scales > 0.0))):
+            raise ValueError(
+                "coupling scales must be a non-empty 1-d list of finite, "
+                "positive numbers"
+            )
+        scales = scales.tolist()
+    return limits, scales
+
+
+def _rate_points(
+    order: int,
     b: int,
     a: int,
-    idx_i: np.ndarray,
-    idx_j: np.ndarray,
-    signs: tuple[int, int],
-    weights: np.ndarray,
-    d_e: np.ndarray,
-    freqs: np.ndarray,
-    v: np.ndarray,
-    eta: float,
-    lo: int,
-    hi: int,
-) -> tuple[float, float]:
-    sel = (idx_i[lo:hi], idx_j[lo:hi])
-    w_sel = (freqs[sel[0]], freqs[sel[1]])
-    amp = np.zeros(hi - lo, dtype=complex)
-    min_abs = np.inf
-    for p, q in _PERMS2:
-        real_den = d_e[None, :] + (signs[q] * w_sel[q])[:, None]
-        min_abs = min(min_abs, float(np.min(np.abs(real_den))))
-        den = real_den + 1j * eta
-        amp += np.einsum("tc,tc->t", v[sel[p]][:, b, :], v[sel[q]][:, :, a] / den)
-    contrib = (amp.real**2 + amp.imag**2) * weights[lo:hi]
-    return float(np.sum(contrib)), min_abs
+    system: SpinSystem,
+    bath: PhononBath,
+    couplings: CouplingSet,
+    temperature: float | Sequence[float],
+    shape: Lineshape,
+    threads: int,
+    mode_limits: Sequence[int] | None = None,
+    scales: Sequence[float] | None = None,
+) -> list[RateBreakdown]:
+    """One RateBreakdown per point; see ``rate_at_order``."""
+    if order not in _AMPLITUDES:
+        raise ValueError(f"order must be 2, 4, or 6, got {order}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_transition(b, a, system.n_states)
+    temps = np.asarray(temperature, dtype=float)
+    limits, scales = _check_points(temps, mode_limits, scales, bath.n_modes)
+    occs = [_occupations(bath.frequencies, float(t)) for t in np.atleast_1d(temps)]
+    n_sums = len(occs) if limits is None else len(limits)
+
+    omega_ba = system.transition_frequency(b, a)
+    freqs = bath.frequencies
+    v = couplings.matrices
+    d_e = np.asarray(system.energies - system.energies[a])
+    eta = shape.eta
+    amplitude = _AMPLITUDES[order]
+
+    sums: dict[SignPattern, np.ndarray] = {}
+    min_abs_all = np.inf
+    for pattern in sign_patterns(order // 2):
+        idx = _prune(order, omega_ba, pattern, bath, shape)
+        if not idx[0].size:
+            sums[pattern] = np.zeros(n_sums)
+            continue
+        signs = pattern.signs
+        mismatch = omega_ba
+        for s, ix in zip(signs, idx):
+            mismatch = mismatch + s * freqs[ix]
+
+        def task(lo: int, hi: int) -> tuple[np.ndarray, float]:
+            sel = tuple(ix[lo:hi] for ix in idx)
+            amp2, min_abs = amplitude(b, a, sel, signs, d_e, freqs, v, eta)
+            line = _weights(mismatch[lo:hi], shape)
+            if limits is None:
+                partial = [
+                    np.sum(amp2 * (_bose_product(occ, sel, signs) * line))
+                    for occ in occs
+                ]
+                return np.array(partial), min_abs
+            # bin by the first limit admitting the tuple's largest mode;
+            # tuples no limit admits land in the dropped last bin
+            contrib = amp2 * (_bose_product(occs[0], sel, signs) * line)
+            first = np.searchsorted(limits, sel[-1], side="right")
+            binned = np.bincount(first, weights=contrib, minlength=n_sums + 1)
+            return np.cumsum(binned[:n_sums]), min_abs
+
+        sums[pattern], min_abs = _reduce_chunks(task, idx[0].size, threads)
+        min_abs_all = min(min_abs_all, min_abs)
+    if min_abs_all < eta / 10.0:
+        warnings.warn(
+            f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of zero "
+            f"(|x| = {min_abs_all:.3e} cm^-1)",
+            NearResonantDenominatorWarning,
+            stacklevel=3,
+        )
+    per_point = [{p: float(s[k]) for p, s in sums.items()} for k in range(n_sums)]
+    if scales is None:
+        return [_breakdown(order, point, couplings.scale) for point in per_point]
+    return [_breakdown(order, per_point[0], lam) for lam in scales]
+
+
+def rate_at_order(
+    order: int,
+    b: int,
+    a: int,
+    system: SpinSystem,
+    bath: PhononBath,
+    couplings: CouplingSet,
+    temperature: float | Sequence[float],
+    shape: Lineshape,
+    threads: int = 1,
+    *,
+    mode_limits: Sequence[int] | None = None,
+    scales: Sequence[float] | None = None,
+) -> RateBreakdown | list[RateBreakdown]:
+    """Rate R_ba of the given perturbative order (2, 4, or 6), at one point or many.
+
+    With a scalar ``temperature`` and neither ``mode_limits`` nor
+    ``scales``, returns one RateBreakdown. Otherwise returns a list with
+    one RateBreakdown per point, the points given by exactly one of:
+
+    - ``temperature`` as a 1-d sequence of temperatures in kelvin;
+    - ``mode_limits``, non-decreasing mode counts at one temperature:
+      point p keeps only the lowest ``mode_limits[p]`` modes, which is
+      ``restrict_bath`` at a cutoff between mode ``mode_limits[p] - 1``
+      and the next. Each point's channel sums are running sums of
+      nonnegative terms, so they never decrease along the list;
+    - ``scales``, coupling scales that replace ``couplings.scale``; each
+      rate carries its scale as the exact factor scale**order.
+
+    Every surviving tuple's amplitude is evaluated once per call,
+    whatever the number of points. The values at each temperature or
+    scale are bit-identical to a one-point call there; mode-limit points
+    agree with ``restrict_bath`` to rounding, since their sums run in
+    another order. ``threads`` must be at least 1.
+    """
+    points = _rate_points(order, b, a, system, bath, couplings, temperature, shape,
+                          threads, mode_limits, scales)
+    single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
+    return points[0] if single else points
+
+
+# ---------------------------------------------------------------------------
+# one point per order
+
+
+def rate_one_phonon(
+    b: int,
+    a: int,
+    system: SpinSystem,
+    bath: PhononBath,
+    couplings: CouplingSet,
+    temperature: float,
+    shape: Lineshape,
+) -> RateBreakdown:
+    """Direct-process rate R_ba, split into emission and absorption.
+
+    Each channel is 2 pi sum_alpha |V^alpha_ba|^2 times the channel weight
+    (Bose factor and broadened delta at omega_ba + s omega_alpha),
+    converted to s^-1.
+    """
+    return _rate_points(2, b, a, system, bath, couplings, temperature, shape, 1)[0]
 
 
 def rate_two_phonon(
@@ -349,83 +562,8 @@ def rate_two_phonon(
     orderings of the pair) times the channel weight. Equal-index pairs are
     excluded by the strict ordering.
     """
-    _check_transition(b, a, system.n_states)
-    omega_ba = system.transition_frequency(b, a)
-    freqs = bath.frequencies
-    v = couplings.matrices
-    d_e = np.asarray(system.energies - system.energies[a])
-    occ = _occupations(freqs, temperature)
-    eta = shape.eta
-
-    channels: dict[SignPattern, float] = {}
-    min_abs_all = np.inf
-    for pattern in sign_patterns(2):
-        idx_i, idx_j = _prune_pairs(omega_ba, pattern, bath, shape)
-        if not idx_i.size:
-            channels[pattern] = 0.0
-            continue
-        s0, s1 = pattern.signs
-        f0 = occ[idx_i] + 1.0 if s0 == EMIT else occ[idx_i]
-        f1 = occ[idx_j] + 1.0 if s1 == EMIT else occ[idx_j]
-        mismatch = (omega_ba + s0 * freqs[idx_i]) + s1 * freqs[idx_j]
-        weights = (f0 * f1) * _weights(mismatch, shape)
-
-        def task(lo: int, hi: int) -> tuple[float, float]:
-            return _pair_chunk_sum(
-                b, a, idx_i, idx_j, pattern.signs, weights, d_e, freqs, v, eta, lo, hi
-            )
-
-        base, min_abs = _reduce_chunks(task, idx_i.size, threads)
-        min_abs_all = min(min_abs_all, min_abs)
-        channels[pattern] = _TWO_PI * base * couplings.scale**4 * CM_TO_RATE_S
-    if min_abs_all < eta / 10.0:
-        warnings.warn(
-            f"two-phonon amplitude denominator within eta/10 of zero "
-            f"(|x| = {min_abs_all:.3e} cm^-1)",
-            NearResonantDenominatorWarning,
-            stacklevel=2,
-        )
-    return _breakdown(4, channels)
-
-
-# ---------------------------------------------------------------------------
-# three-phonon
-
-
-def _triple_chunk_sum(
-    b: int,
-    a: int,
-    idx: tuple[np.ndarray, np.ndarray, np.ndarray],
-    signs: tuple[int, int, int],
-    weights: np.ndarray,
-    d_e: np.ndarray,
-    freqs: np.ndarray,
-    v: np.ndarray,
-    eta: float,
-    lo: int,
-    hi: int,
-) -> tuple[float, float]:
-    sel = tuple(ix[lo:hi] for ix in idx)
-    w_sel = tuple(freqs[s] for s in sel)
-    amp = np.zeros(hi - lo, dtype=complex)
-    min_abs = np.inf
-    for p, q, r in _PERMS3:
-        shift1 = signs[q] * w_sel[q] + signs[r] * w_sel[r]
-        shift2 = signs[r] * w_sel[r]
-        real1 = d_e[None, :] + shift1[:, None]
-        real2 = d_e[None, :] + shift2[:, None]
-        min_abs = min(
-            min_abs,
-            float(np.min(np.abs(real1))),
-            float(np.min(np.abs(real2))),
-        )
-        den1 = real1 + 1j * eta
-        den2 = real2 + 1j * eta
-        right = v[sel[r]][:, :, a] / den2
-        inner = np.einsum("tcd,td->tc", v[sel[q]], right)
-        amp += np.einsum("tc,tc->t", v[sel[p]][:, b, :], inner / den1)
-    contrib = (amp.real**2 + amp.imag**2) * weights[lo:hi]
-    return float(np.sum(contrib)), min_abs
+    return _rate_points(4, b, a, system, bath, couplings, temperature, shape,
+                        threads)[0]
 
 
 def rate_three_phonon(
@@ -446,70 +584,5 @@ def rate_three_phonon(
     channel) times the channel weight. Outputs are bit-identical for any
     thread count.
     """
-    _check_transition(b, a, system.n_states)
-    omega_ba = system.transition_frequency(b, a)
-    freqs = bath.frequencies
-    v = couplings.matrices
-    d_e = np.asarray(system.energies - system.energies[a])
-    occ = _occupations(freqs, temperature)
-    eta = shape.eta
-
-    channels: dict[SignPattern, float] = {}
-    min_abs_all = np.inf
-    for pattern in sign_patterns(3):
-        idx = _prune_triples_arrays(omega_ba, pattern, bath, shape)
-        if not idx[0].size:
-            channels[pattern] = 0.0
-            continue
-        factors = np.ones(idx[0].size)
-        mismatch = np.full(idx[0].size, omega_ba)
-        for s, ix in zip(pattern.signs, idx):
-            n = occ[ix]
-            factors = factors * (n + 1.0 if s == EMIT else n)
-            mismatch = mismatch + s * freqs[ix]
-        weights = factors * _weights(mismatch, shape)
-
-        def task(lo: int, hi: int) -> tuple[float, float]:
-            return _triple_chunk_sum(
-                b, a, idx, pattern.signs, weights, d_e, freqs, v, eta, lo, hi
-            )
-
-        base, min_abs = _reduce_chunks(task, idx[0].size, threads)
-        min_abs_all = min(min_abs_all, min_abs)
-        channels[pattern] = _TWO_PI * base * couplings.scale**6 * CM_TO_RATE_S
-    if min_abs_all < eta / 10.0:
-        warnings.warn(
-            f"three-phonon amplitude denominator within eta/10 of zero "
-            f"(|x| = {min_abs_all:.3e} cm^-1)",
-            NearResonantDenominatorWarning,
-            stacklevel=2,
-        )
-    return _breakdown(6, channels)
-
-
-_RATE_FUNCTIONS = {
-    2: rate_one_phonon,
-    4: rate_two_phonon,
-    6: rate_three_phonon,
-}
-
-
-def rate_at_order(
-    order: int,
-    b: int,
-    a: int,
-    system: SpinSystem,
-    bath: PhononBath,
-    couplings: CouplingSet,
-    temperature: float,
-    shape: Lineshape,
-    threads: int = 1,
-) -> RateBreakdown:
-    """Dispatch to the rate of the given perturbative order (2, 4, or 6)."""
-    if order == 2:
-        return rate_one_phonon(b, a, system, bath, couplings, temperature, shape)
-    try:
-        fn = _RATE_FUNCTIONS[order]
-    except KeyError:
-        raise ValueError(f"order must be 2, 4, or 6, got {order}") from None
-    return fn(b, a, system, bath, couplings, temperature, shape, threads=threads)
+    return _rate_points(6, b, a, system, bath, couplings, temperature, shape,
+                        threads)[0]

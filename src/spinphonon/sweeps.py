@@ -1,10 +1,13 @@
 """Parameter sweeps over temperature, phonon cutoff, and coupling scale.
 
 Each sweep returns one T1 series per requested perturbative order, with
-``math.inf`` marking points where nothing relaxes. The coupling-scale
-sweep exploits that order-2k rates carry the global multiplier as an
-exact factor lambda**(2k), and the crossover finder locates the scale at
-which the two- and three-phonon rates coincide.
+``math.inf`` marking points where nothing relaxes. A sweep makes one
+multi-point rate call per transition and order, so every surviving
+tuple's amplitude is evaluated once and reduced against all the sweep's
+points. Order-2k rates carry the global coupling multiplier as the exact
+factor lambda**(2k): the coupling-scale sweep rescales one set of channel
+sums, and the crossover, the scale at which the two- and three-phonon
+rates coincide, is the closed form sqrt(r4 / r6) of the rates at scale 1.
 """
 
 from __future__ import annotations
@@ -35,11 +38,7 @@ class SweepSeries:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ax = np.array(self.axis, dtype=float)
-        if ax.ndim != 1 or ax.size == 0:
-            raise ValueError("axis must be a non-empty 1-d list")
-        if ax.size > 1 and np.any(np.diff(ax) <= 0.0):
-            raise ValueError("axis must be strictly increasing")
+        ax = _axis(self.axis)
         series = {}
         for order, values in self.t1_per_order.items():
             v = np.array(values, dtype=float)
@@ -59,8 +58,21 @@ class PowerLawFit(NamedTuple):
     residual: float
 
 
-def _t1_of_matrix(matrix: np.ndarray, order: int) -> float:
-    return extract_t1(RateGenerator(matrix=matrix, orders=(order,)))
+def _axis(values: Sequence[float]) -> np.ndarray:
+    """A sweep axis as a non-empty, strictly increasing 1-d float array."""
+    ax = np.array(values, dtype=float)
+    if ax.ndim != 1 or ax.size == 0:
+        raise ValueError("axis must be a non-empty 1-d list")
+    if ax.size > 1 and np.any(np.diff(ax) <= 0.0):
+        raise ValueError("axis must be strictly increasing")
+    return ax
+
+
+def _t1_per_point(matrices: np.ndarray, order: int) -> np.ndarray:
+    """T1 of each generator matrix stacked along the leading axis."""
+    return np.array(
+        [extract_t1(RateGenerator(matrix=m, orders=(order,))) for m in matrices]
+    )
 
 
 def _model_tag(model: Model) -> dict:
@@ -78,19 +90,18 @@ def sweep_temperature(
     shape: Lineshape = Lineshape(),
     threads: int = 1,
 ) -> SweepSeries:
-    """T1 versus temperature, one series per requested order."""
-    temps = np.asarray(temperatures, dtype=float)
-    if np.any(temps <= 0.0):
-        raise ValueError("temperatures must be positive")
+    """T1 versus temperature, one series per requested order.
+
+    One multi-temperature rate call per transition and order evaluates
+    each surviving tuple's amplitude once; every point equals a
+    one-temperature evaluation there bit for bit.
+    """
+    temps = _axis(temperatures)
     orders = tuple(sorted(set(orders)))
-    series = {k: [] for k in orders}
-    for t in temps:
-        mats = order_generator_matrices(model, float(t), shape, orders, threads)
-        for k in orders:
-            series[k].append(_t1_of_matrix(mats[k], k))
+    mats = order_generator_matrices(model, temps, shape, orders, threads)
     return SweepSeries(
         axis=temps,
-        t1_per_order={k: np.array(v) for k, v in series.items()},
+        t1_per_order={k: _t1_per_point(mats[k], k) for k in orders},
         metadata={"sweep": "temperature", "sigma": shape.sigma, "eta": shape.eta,
                   "orders": orders, "model": _model_tag(model)},
     )
@@ -106,22 +117,22 @@ def sweep_cutoff(
 ) -> SweepSeries:
     """T1 versus the phonon high-energy cutoff, at a single order.
 
-    Each point restricts the bath to modes at or below the cutoff; a
-    cutoff below the lowest mode leaves nothing to relax through and
-    yields the infinite-T1 sentinel.
+    Each point keeps the modes at or below its cutoff; a cutoff below the
+    lowest mode leaves nothing to relax through and yields the
+    infinite-T1 sentinel. Tuples are pruned once, on the bath below the
+    largest cutoff, and each one's contribution is added to every point
+    whose cutoff admits its highest mode. The rates are therefore running
+    sums of nonnegative terms, and T1 never increases along the axis. They
+    agree with a separate evaluation on each restricted bath to rounding.
     """
-    cuts = np.asarray(cutoffs, dtype=float)
-    values = []
-    for omega_c in cuts:
-        sub = restrict_bath(model, float(omega_c))
-        if sub.bath.n_modes == 0:
-            values.append(math.inf)
-            continue
-        mats = order_generator_matrices(sub, temperature, shape, (order,), threads)
-        values.append(_t1_of_matrix(mats[order], order))
+    cuts = _axis(cutoffs)
+    sub = restrict_bath(model, float(cuts[-1]))
+    limits = np.searchsorted(sub.bath.frequencies, cuts, side="right")
+    mats = order_generator_matrices(sub, temperature, shape, (order,), threads,
+                                    mode_limits=limits)
     return SweepSeries(
         axis=cuts,
-        t1_per_order={order: np.array(values)},
+        t1_per_order={order: _t1_per_point(mats[order], order)},
         metadata={"sweep": "cutoff", "sigma": shape.sigma, "eta": shape.eta,
                   "orders": (order,), "temperature": temperature,
                   "model": _model_tag(model)},
@@ -136,20 +147,19 @@ def sweep_lambda(
     shape: Lineshape = Lineshape(),
     threads: int = 1,
 ) -> SweepSeries:
-    """T1 versus the homogeneous coupling multiplier, per order."""
-    lams = np.asarray(scales, dtype=float)
-    if np.any(lams <= 0.0):
-        raise ValueError("coupling scales must be positive")
+    """T1 versus the homogeneous coupling multiplier, per order.
+
+    The scale-free channel sums are evaluated once per transition and
+    order; each point multiplies them by its scale**order, exactly as a
+    one-point evaluation at that scale would.
+    """
+    lams = _axis(scales)
     orders = tuple(sorted(set(orders)))
-    series = {k: [] for k in orders}
-    for lam in lams:
-        scaled = with_coupling_scale(model, float(lam))
-        mats = order_generator_matrices(scaled, temperature, shape, orders, threads)
-        for k in orders:
-            series[k].append(_t1_of_matrix(mats[k], k))
+    mats = order_generator_matrices(model, temperature, shape, orders, threads,
+                                    scales=lams)
     return SweepSeries(
         axis=lams,
-        t1_per_order={k: np.array(v) for k, v in series.items()},
+        t1_per_order={k: _t1_per_point(mats[k], k) for k in orders},
         metadata={"sweep": "lambda", "sigma": shape.sigma, "eta": shape.eta,
                   "orders": orders, "temperature": temperature,
                   "model": _model_tag(model)},
@@ -183,63 +193,23 @@ def find_crossover(
     shape: Lineshape = Lineshape(),
     bracket: tuple[float, float] = (1e-2, 1e4),
     threads: int = 1,
-    rel_tol: float = 1e-6,
 ) -> float | None:
     """Coupling scale at which the three-phonon rate overtakes the two-phonon one.
 
-    Bisects log(r6(lambda) / r4(lambda)) over the bracket, evaluating both
-    rates at each trial scale, and converges to the requested relative
-    tolerance on lambda. The exact-scaling closed form sqrt(r4(1)/r6(1))
-    serves as the convergence check. Returns None when the bracket does
-    not contain a crossover.
+    Order-2k rates scale exactly as lambda**(2k), so the crossover is the
+    closed form ``crossover_scale(r4, r6)`` of the two rates at scale 1.
+    Returns it when it lies in the bracket, endpoints included, and None
+    otherwise. Raises ValueError when either rate is zero.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
-
-    def log_ratio(lam: float) -> float:
-        scaled = with_coupling_scale(model, lam)
-        r4 = _order_rate_metric(scaled, 4, temperature, shape, threads)
-        r6 = _order_rate_metric(scaled, 6, temperature, shape, threads)
-        if not (r4 > 0.0 and r6 > 0.0):
-            raise ValueError("two- and three-phonon rates must both be nonzero")
-        return math.log(r6) - math.log(r4)
-
-    f_lo = log_ratio(lo)
-    f_hi = log_ratio(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        return None
-
-    # bisect in log-space for uniform relative resolution
-    u_lo, u_hi = math.log(lo), math.log(hi)
-    while u_hi - u_lo > 0.5 * rel_tol:
-        u_mid = 0.5 * (u_lo + u_hi)
-        f_mid = log_ratio(math.exp(u_mid))
-        if f_mid == 0.0:
-            u_lo = u_hi = u_mid
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            u_lo = u_mid
-            f_lo = f_mid
-        else:
-            u_hi = u_mid
-    lam = math.exp(0.5 * (u_lo + u_hi))
-
     base = with_coupling_scale(model, 1.0)
-    closed = crossover_scale(
+    lam = crossover_scale(
         _order_rate_metric(base, 4, temperature, shape, threads),
         _order_rate_metric(base, 6, temperature, shape, threads),
     )
-    if abs(lam - closed) > 10.0 * rel_tol * closed:
-        raise RuntimeError(
-            f"bisection result {lam:.9g} disagrees with the exact-scaling "
-            f"value {closed:.9g}"
-        )
-    return lam
+    return lam if lo <= lam <= hi else None
 
 
 def fit_power_law(axis: Sequence[float], values: Sequence[float]) -> PowerLawFit:

@@ -165,3 +165,81 @@ class TestGenModel:
                         "--temp", "77"])
         assert code == 0
         float(capsys.readouterr().out.strip())
+
+
+def parse_rates_output(text):
+    """{(order, label): value} from the output of ``spinphonon rates``."""
+    values, order = {}, None
+    for line in text.splitlines():
+        if line.startswith("order "):
+            order = int(line.split()[1])
+        else:
+            label, value = line.split(":")
+            values[order, label.strip()] = float(value.split()[0])
+    return values
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("temp", ["inf", "nan", "-inf"])
+    def test_non_finite_temperature_exits_1(self, tmp_path, capsys, temp):
+        model = gen_model_file(tmp_path)
+        assert run_cli(["t1", "--input", str(model), "--temp", temp]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_temperature_grid_exits_1(self, tmp_path, capsys):
+        model = gen_model_file(tmp_path)
+        assert run_cli(["sweep-temp", "--input", str(model), "--orders", "2",
+                        "--grid", "5:inf:3"]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["t1"],
+        ["sweep-temp", "--grid", "100:300:3"],
+        ["sweep-cutoff", "--grid", "50:150:3"],
+        ["crossover"],
+    ])
+    def test_threads_below_one_exit_1(self, tmp_path, capsys, threads, command):
+        model = gen_model_file(tmp_path)
+        code = run_cli([*command, "--input", str(model), "--threads", threads])
+        assert code == 1
+        assert "threads" in capsys.readouterr().err
+
+
+class TestChannelColumns:
+    def test_temperature_columns_equal_rates_output(self, tmp_path, capsys):
+        model = gen_model_file(tmp_path)
+        out = tmp_path / "temp.csv"
+        assert run_cli(["sweep-temp", "--input", str(model), "--orders", "2,4,6",
+                        "--grid", "60:420:4", "--channels", "--transition", "0,1",
+                        "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        capsys.readouterr()
+        for row in rows:
+            assert run_cli(["rates", "--input", str(model), "--orders", "2,4,6",
+                            "--transition", "0,1", "--temp", repr(float(row[0]))]) == 0
+            rates = parse_rates_output(capsys.readouterr().out)
+            for name, value in zip(header[4:], row[4:]):
+                order, label = name[1], name[3:name.index("]")]
+                assert value == rates[int(order), label]
+
+    def test_lambda_columns_equal_rates_at_each_scale(self, tmp_path):
+        from spinphonon import Lineshape, load_system, rate_at_order, with_coupling_scale
+
+        model_path = gen_model_file(tmp_path)
+        out = tmp_path / "lam.csv"
+        assert run_cli(["sweep-lambda", "--input", str(model_path), "--orders", "4,6",
+                        "--temp", "250", "--grid", "0.5:8:4:log", "--channels",
+                        "--output", str(out)]) == 0
+        header, rows = read_csv(out)
+        model = load_system(model_path)
+        for row in rows:
+            scaled = with_coupling_scale(model, row[0])
+            expected = [
+                value
+                for order in (4, 6)
+                for value in rate_at_order(order, 1, 0, *scaled, 250.0,
+                                           Lineshape()).per_channel.values()
+            ]
+            assert list(row[3:]) == expected

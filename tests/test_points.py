@@ -1,0 +1,261 @@
+"""Multi-point rate evaluation: one amplitude pass reduced against many
+temperatures, mode limits or coupling scales, and the sweeps built on it."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinphonon import (
+    Lineshape,
+    ModelSpec,
+    assemble_generator,
+    crossover_scale,
+    extract_t1,
+    find_crossover,
+    generate_model,
+    naive_rate_three_phonon,
+    naive_rate_two_phonon,
+    order_generator_matrices,
+    rate_at_order,
+    rate_three_phonon,
+    rate_two_phonon,
+    restrict_bath,
+    slowest_decay,
+    sweep_cutoff,
+    sweep_lambda,
+    sweep_temperature,
+    with_coupling_scale,
+)
+from spinphonon import dynamics, rates, sweeps
+from spinphonon.dynamics import RateGenerator
+
+from conftest import max_channel_dev
+
+
+def two_level_model(seed=7, n_modes=16):
+    return generate_model(
+        ModelSpec(seed=seed, n_states=2, n_modes=n_modes, freq_range=(20.0, 150.0),
+                  coupling_scale=0.5)
+    )
+
+
+def t1_of(matrix, order):
+    return extract_t1(RateGenerator(matrix=matrix, orders=(order,)))
+
+
+class TestSweepsEqualPerPointEvaluation:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_temperature_sweep_is_bit_identical(self, shape, small_model, threads):
+        temps = [40.0, 150.0, 300.0, 700.0]
+        series = sweep_temperature(small_model, temps, (2, 4, 6), shape, threads)
+        for i, t in enumerate(temps):
+            mats = order_generator_matrices(small_model, t, shape, (2, 4, 6))
+            for k in (2, 4, 6):
+                assert series.t1_per_order[k][i] == t1_of(mats[k], k)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lambda_sweep_is_bit_identical(self, shape, small_model, threads):
+        lams = [0.3, 1.0, 2.5, 11.0]
+        series = sweep_lambda(small_model, lams, (2, 4, 6), 250.0, shape, threads)
+        for i, lam in enumerate(lams):
+            scaled = with_coupling_scale(small_model, lam)
+            mats = order_generator_matrices(scaled, 250.0, shape, (2, 4, 6))
+            for k in (2, 4, 6):
+                assert series.t1_per_order[k][i] == t1_of(mats[k], k)
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_cutoff_sweep_matches_restricted_baths(self, shape, small_model, order):
+        freqs = small_model.bath.frequencies
+        cutoffs = [freqs[0] / 2.0, freqs[3], 0.5 * (freqs[6] + freqs[7]), freqs[-1],
+                   freqs[-1] + 40.0]
+        series = sweep_cutoff(small_model, cutoffs, order, 300.0, shape, threads=2)
+        for omega_c, value in zip(cutoffs, series.t1_per_order[order]):
+            sub = restrict_bath(small_model, omega_c)
+            if sub.bath.n_modes == 0:
+                assert math.isinf(value)
+                continue
+            mats = order_generator_matrices(sub, 300.0, shape, (order,))
+            assert value == pytest.approx(t1_of(mats[order], order), rel=1e-12)
+
+    def test_channels_match_the_naive_oracle_at_three_temperatures(self, shape,
+                                                                   small_model):
+        temps = [60.0, 210.0, 480.0]
+        for order, naive_fn in ((4, naive_rate_two_phonon), (6, naive_rate_three_phonon)):
+            fast = rate_at_order(order, 1, 0, *small_model, temps, shape)
+            for t, bd in zip(temps, fast):
+                naive = naive_fn(1, 0, *small_model, t, shape)
+                assert max_channel_dev(bd, naive) <= 1e-10
+
+
+class TestCutoffInvariants:
+    def test_channels_never_decrease_along_the_cutoff_axis(self, shape, small_model):
+        limits = list(range(small_model.bath.n_modes + 1))
+        for order in (2, 4, 6):
+            for b, a in ((1, 0), (0, 2), (2, 1)):
+                per_limit = rate_at_order(order, b, a, *small_model, 300.0, shape,
+                                          mode_limits=limits)
+                for pattern in per_limit[0].per_channel:
+                    values = [bd.per_channel[pattern] for bd in per_limit]
+                    assert all(x <= y for x, y in zip(values, values[1:]))
+
+    def test_two_level_t1_never_increases(self, shape):
+        for seed in (3, 5, 9):
+            model = two_level_model(seed=seed, n_modes=20)
+            cutoffs = np.linspace(15.0, 160.0, 25)
+            for order in (2, 4, 6):
+                t1 = sweep_cutoff(model, cutoffs, order, 300.0, shape).t1_per_order[order]
+                assert all(y <= x for x, y in zip(t1, t1[1:]))
+
+    def test_full_limit_agrees_with_the_one_point_rate(self, shape, small_model):
+        n = small_model.bath.n_modes
+        full = rate_three_phonon(2, 0, *small_model, 300.0, shape)
+        (limited,) = rate_at_order(6, 2, 0, *small_model, 300.0, shape, mode_limits=[n])
+        for pattern, value in full.per_channel.items():
+            assert limited.per_channel[pattern] == pytest.approx(value, rel=1e-12)
+
+
+class TestFindCrossover:
+    def test_exact_closed_form(self, shape):
+        model = two_level_model()
+        r4 = rate_two_phonon(1, 0, *model, 300.0, shape).total
+        r6 = rate_three_phonon(1, 0, *model, 300.0, shape).total
+        assert find_crossover(model, 300.0, shape) == crossover_scale(r4, r6)
+
+    def test_bracket_endpoints_are_inclusive(self, shape):
+        model = two_level_model()
+        lam = find_crossover(model, 300.0, shape)
+        assert find_crossover(model, 300.0, shape, bracket=(lam, 2.0 * lam)) == lam
+        assert find_crossover(model, 300.0, shape, bracket=(lam / 2.0, lam)) == lam
+        assert find_crossover(model, 300.0, shape,
+                              bracket=(math.nextafter(lam, math.inf), 2.0 * lam)) is None
+        assert find_crossover(model, 300.0, shape,
+                              bracket=(lam / 2.0, math.nextafter(lam, 0.0))) is None
+
+    def test_does_not_depend_on_the_model_scale(self, shape):
+        model = two_level_model()
+        assert find_crossover(with_coupling_scale(model, 3.0), 300.0, shape) == (
+            find_crossover(model, 300.0, shape))
+
+    def test_multilevel_uses_the_slowest_decay(self, shape, small_model):
+        r4, r6 = (
+            slowest_decay(assemble_generator(small_model, 300.0, shape, (k,))).rate
+            for k in (4, 6)
+        )
+        assert find_crossover(small_model, 300.0, shape) == crossover_scale(r4, r6)
+
+
+class TestOneKernelCallPerTransitionAndOrder:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[0])
+            return rate_at_order(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "rate_at_order", counting)
+        monkeypatch.setattr(sweeps, "rate_at_order", counting)
+        return seen
+
+    def test_sweeps(self, shape, calls):
+        model = two_level_model()
+        sweep_temperature(model, np.geomspace(5.0, 400.0, 6), (4, 6), shape)
+        assert sorted(calls) == [4, 4, 6, 6]
+        calls.clear()
+        sweep_cutoff(model, np.linspace(50.0, 200.0, 5), 6, 300.0, shape)
+        assert calls == [6, 6]
+        calls.clear()
+        sweep_lambda(model, np.geomspace(0.5, 64.0, 5), (4, 6), 300.0, shape)
+        assert sorted(calls) == [4, 4, 6, 6]
+        calls.clear()
+        find_crossover(model, 300.0, shape)
+        assert calls == [4, 6]
+
+
+class TestPointValidation:
+    def test_non_finite_temperatures_rejected(self, shape, small_model):
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                rate_two_phonon(1, 0, *small_model, bad, shape)
+            with pytest.raises(ValueError, match="finite"):
+                rate_at_order(2, 1, 0, *small_model, [100.0, bad], shape)
+        for grid in ([10.0, math.inf], [math.nan], [10.0, 20.0, math.nan]):
+            with pytest.raises(ValueError):
+                sweep_temperature(small_model, grid, (2,), shape)
+
+    def test_one_axis_only(self, shape, small_model):
+        with pytest.raises(ValueError, match="one axis"):
+            rate_at_order(4, 1, 0, *small_model, [100.0, 200.0], shape, scales=[1.0])
+        with pytest.raises(ValueError, match="one axis"):
+            rate_at_order(4, 1, 0, *small_model, 100.0, shape, scales=[1.0],
+                          mode_limits=[3])
+
+    @pytest.mark.parametrize("limits", [[3, 2], [-1], [99], [], [1.5]])
+    def test_bad_mode_limits(self, shape, small_model, limits):
+        with pytest.raises(ValueError):
+            rate_at_order(4, 1, 0, *small_model, 300.0, shape, mode_limits=limits)
+
+    @pytest.mark.parametrize("scales", [[0.0], [-1.0], [math.inf], [math.nan], []])
+    def test_bad_scales(self, shape, small_model, scales):
+        with pytest.raises(ValueError):
+            rate_at_order(4, 1, 0, *small_model, 300.0, shape, scales=scales)
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, shape, small_model, order, threads):
+        with pytest.raises(ValueError, match="threads"):
+            rate_at_order(order, 1, 0, *small_model, 300.0, shape, threads=threads)
+
+
+class TestThreadPoolCap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class RecordingExecutor:
+            """Runs tasks inline and records the pool size it was asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rates, "ThreadPoolExecutor", RecordingExecutor)
+        return sizes
+
+    @staticmethod
+    def count_task(lo, hi):
+        return np.array([float(hi - lo)]), np.inf
+
+    @pytest.mark.parametrize("cpus, chunks, threads, expected", [
+        (16, 3, 1000, [3]),
+        (2, 3, 1000, [2]),
+        (16, 5, 4, [4]),
+        (None, 3, 8, []),
+        (16, 1, 8, []),
+        (16, 3, 1, []),
+    ])
+    def test_workers_capped(self, monkeypatch, pools, cpus, chunks, threads, expected):
+        monkeypatch.setattr(rates.os, "cpu_count", lambda: cpus)
+        n = chunks * rates.CHUNK - 7
+        total, _ = rates._reduce_chunks(self.count_task, n, threads)
+        assert pools == expected
+        assert total.tolist() == [float(n)]
+
+
+def test_lorentzian_temperature_points_equal_one_point_calls():
+    shape = Lineshape(kind="lorentzian", sigma=8.0)
+    model = two_level_model(n_modes=12)
+    temps = [50.0, 300.0]
+    many = rate_at_order(6, 0, 1, *model, temps, shape)
+    for t, bd in zip(temps, many):
+        one = rate_three_phonon(0, 1, *model, t, shape)
+        assert bd.per_channel == one.per_channel and bd.total == one.total
