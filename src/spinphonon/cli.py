@@ -57,6 +57,10 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, npts = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse grid {text!r}") from None
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise argparse.ArgumentTypeError(
+            f"grid start and stop must be finite, got {text!r}"
+        )
     if npts < 1 or not start < stop:
         raise argparse.ArgumentTypeError("grid needs start < stop and npoints >= 1")
     if len(parts) == 4:

@@ -59,10 +59,12 @@ class PowerLawFit(NamedTuple):
 
 
 def _axis(values: Sequence[float]) -> np.ndarray:
-    """A sweep axis as a non-empty, strictly increasing 1-d float array."""
+    """A sweep axis as a non-empty, finite, strictly increasing 1-d float array."""
     ax = np.array(values, dtype=float)
     if ax.ndim != 1 or ax.size == 0:
         raise ValueError("axis must be a non-empty 1-d list")
+    if not np.all(np.isfinite(ax)):
+        raise ValueError("axis values must be finite")
     if ax.size > 1 and np.any(np.diff(ax) <= 0.0):
         raise ValueError("axis must be strictly increasing")
     return ax

@@ -193,6 +193,17 @@ class TestInputValidation:
                         "--grid", "5:inf:3"]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("grid", ["10:inf:3", "-inf:5:3", "1:nan:3"])
+    @pytest.mark.parametrize("command",
+                             ["sweep-temp", "sweep-cutoff", "sweep-lambda"])
+    def test_non_finite_grid_bound_exits_1(self, tmp_path, capsys, command, grid):
+        model = gen_model_file(tmp_path)
+        # "--grid=..." so that argparse does not read "-inf:5:3" as an option
+        assert run_cli([command, "--input", str(model), f"--grid={grid}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", [
         ["t1"],

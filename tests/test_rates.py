@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,3 +306,62 @@ class TestRateProperties:
         again = rate_three_phonon(1, 0, *sub, 300.0, shape)
         for pattern in full.per_channel:
             assert again.per_channel[pattern] == full.per_channel[pattern]
+
+
+class TestEveryTransition:
+    """The per-call tables depend on the source and destination states, so
+    every ordered pair (b, a) is checked, not only (1, 0)."""
+
+    @pytest.mark.parametrize("seed, n_states", [(21, 3), (22, 4)])
+    def test_matches_oracle_and_threads(self, shape, monkeypatch, seed, n_states):
+        from spinphonon import rate_at_order, rates
+
+        # small chunks, so that two threads split each channel between them
+        monkeypatch.setattr(rates, "CHUNK", 16)
+        # closely spaced levels: every transition has surviving tuples
+        model = generate_model(ModelSpec(seed=seed, n_states=n_states, n_modes=10,
+                                         gap=5.0, excited_offset=30.0,
+                                         freq_range=(20.0, 150.0)))
+        for b, a in itertools.permutations(range(n_states), 2):
+            for order, naive_fn in ((4, naive_rate_two_phonon),
+                                    (6, naive_rate_three_phonon)):
+                fast = rate_at_order(order, b, a, *model, 280.0, shape, threads=1)
+                naive = naive_fn(b, a, *model, 280.0, shape)
+                assert fast.total > 0.0
+                assert max_channel_dev(fast, naive) <= 1e-10, (order, b, a)
+                split = rate_at_order(order, b, a, *model, 280.0, shape, threads=2)
+                assert split.per_channel == fast.per_channel
+
+
+class TestNearResonantWarning:
+    """The kernel reports the smallest |real denominator| over its tuples.
+
+    Levels 0 and 50 cm^-1 with a mode at 49.9766 cm^-1: absorbing that mode
+    from state 0 leaves E_1 - E_0 - w = 0.0234 cm^-1, and every other
+    denominator of these baths is at least 9.9 cm^-1 away from zero.
+    """
+
+    GAP, RESONANT = 50.0, 49.9766
+
+    def model(self, frequencies):
+        rng = np.random.default_rng(4)
+        return Model(SpinSystem([0.0, self.GAP]), PhononBath(frequencies),
+                     CouplingSet(hermitian(rng, len(frequencies), 2)))
+
+    @pytest.mark.parametrize("fn, frequencies", [
+        (rate_two_phonon, (30.0, RESONANT)),
+        (rate_three_phonon, (30.0, 40.0, RESONANT)),
+    ])
+    def test_warns_with_the_smallest_denominator(self, fn, frequencies):
+        from spinphonon import NearResonantDenominatorWarning
+
+        model = self.model(frequencies)
+        expected = abs(self.GAP - self.RESONANT)
+        with pytest.warns(NearResonantDenominatorWarning) as record:
+            fn(1, 0, *model, 300.0, Lineshape(eta=1.0))
+        assert len(record) == 1
+        assert f"(|x| = {expected:.3e} cm^-1)" in str(record[0].message)
+        # eta / 10 below the smallest denominator: no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NearResonantDenominatorWarning)
+            fn(1, 0, *model, 300.0, Lineshape(eta=0.2))

@@ -46,6 +46,18 @@ class TestSweepTemperature:
             sweep_temperature(small_model, [-5.0, 10.0], (2,), shape)
 
 
+@pytest.mark.parametrize(
+    "axis", [[10.0, math.inf], [-math.inf, 10.0], [10.0, math.nan]]
+)
+def test_non_finite_axis_values_raise(shape, small_model, axis):
+    with pytest.raises(ValueError, match="finite"):
+        sweep_cutoff(small_model, axis, 4, 300.0, shape)
+    with pytest.raises(ValueError, match="finite"):
+        sweep_temperature(small_model, axis, (2,), shape)
+    with pytest.raises(ValueError, match="finite"):
+        sweep_lambda(small_model, axis, (4,), 300.0, shape)
+
+
 class TestSweepCutoff:
     def test_full_cutoff_matches_unrestricted(self, shape, small_model):
         top = float(small_model.bath.frequencies[-1])
