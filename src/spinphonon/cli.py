@@ -283,9 +283,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     model = generate_model(_model_spec_from_args(args))
     shape = _shape_from_args(args)
     system, bath, couplings = model
+    n = system.n_states
     worst = 0.0
     lines = []
-    for b, a in ((1, 0), (0, 1)):
+    for b, a in ((b, a) for a in range(n) for b in range(n) if b != a):
         for order, naive_fn in (
             (4, naive_rate_two_phonon),
             (6, naive_rate_three_phonon),

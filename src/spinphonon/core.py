@@ -123,12 +123,14 @@ class CouplingSet:
             raise ValueError("matrices must have shape (n_modes, n_states, n_states)")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError("scale must be finite and positive")
-        for idx in range(m.shape[0]):
-            dev = np.max(np.abs(m[idx] - m[idx].conj().T))
-            if dev > _HERMITICITY_TOL:
-                raise ValueError(
-                    f"coupling matrix {idx} is not Hermitian (max deviation {dev:.3e})"
-                )
+        dev = np.max(np.abs(m - m.conj().transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero(dev > _HERMITICITY_TOL)
+        if bad.size:
+            idx = int(bad[0])
+            raise ValueError(
+                f"coupling matrix for mode index {idx} is not Hermitian "
+                f"(max deviation {dev[idx]:.3e} cm^-1)"
+            )
         m.setflags(write=False)
         object.__setattr__(self, "matrices", m)
 

@@ -107,11 +107,15 @@ def order_generator_matrices(
     for order in orders:
         per_point = {}
         for a in range(n):
+            # the first call from a builds its tables; the other destinations
+            # reuse them, and they are freed before the next source's
+            sources: dict = {}
             for b in range(n):
                 if b != a:
                     rates = rate_at_order(
                         order, b, a, system, bath, couplings, temperature, shape,
                         threads=threads, mode_limits=mode_limits, scales=scales,
+                        _sources=sources,
                     )
                     per_point[b, a] = [rates] if single else rates
         matrices = []

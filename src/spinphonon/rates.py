@@ -26,13 +26,22 @@ bit-identical for any ``threads`` value; ``threads=1`` is the strictly
 sequential reference mode.
 
 Before its chunk loop, a call of one transition b <- a tabulates what depends
-on single modes or mode pairs: for each sign s = +-1 the propagated vectors
-R_s[r] = V^r[:, a] / (E - E_a + s w_r + i eta), and at sixth order the
-inner vectors sum_d V^q[:, d] R_s[r]_d of every mode pair (q, r). With M
-modes and n states that is 2 M n + 2 M^2 n complex numbers (about 5.8 MB at
-M = 300, n = 2), shared read-only by all chunks. An ordering of a pair then
-costs one gather and an n-term dot; an ordering of a triple one gather, one
-division by its outer denominator and an n-term dot.
+on single modes or mode pairs. For each sign s = +-1 it forms the propagated
+vectors R_s[r] = V^r[:, a] / (E - E_a + s w_r + i eta). At sixth order the
+orderings (p, q, r) and (p, r, q) of a triple share the outer denominator
+D(q, r) = E - E_a + s_q w_q + s_r w_r + i eta, so for each sign pair it folds
+both inner contractions sum_d V^q[:, d] R_{s_r}[r]_d and
+sum_d V^r[:, d] R_{s_q}[q]_d of a mode pair q < r over D(q, r) into one pair
+table. The equal-sign tables are symmetric and keep only their upper
+triangle; of the mixed-sign pair only (+, -) is stored, and (-, +) reads it
+transposed. With M modes and n states that is 2 M n + (2 M^2 - M) n complex
+numbers (about 5.8 MB at M = 300, n = 2, 11.5 MB at n = 4), plus the
+smallest |Re D| of each pair and sign pair as 2 M^2 - M reals (1.4 MB at
+M = 300), shared read-only by all chunks.
+These source tables depend on a and the order, not on b, so the generator
+builds them once per source state. An ordering of a pair then costs one
+gather and an n-term dot; a triple costs three gathers from the pair tables
+and three n-term dots, with no division.
 """
 
 from __future__ import annotations
@@ -296,43 +305,79 @@ def _prune(
 # amplitudes: |A|^2 and the smallest |real denominator| of one chunk
 
 
+#: Key of the one table stored for mixed signs; (ABSORB, EMIT) reads it transposed.
+_MIXED = (EMIT, ABSORB)
+_PAIR_KEYS = ((EMIT, EMIT), (ABSORB, ABSORB), _MIXED)
+
+
 class _Tables(NamedTuple):
-    """Per-call tables of one transition b <- a, shared read-only by all chunks.
+    """Tables of one transition b <- a, shared read-only by all chunks.
 
     M is the number of modes, n the number of states and s a channel sign
-    (+1 emit, -1 absorb). State-indexed tables are stored state-major, so
-    a chunk's gathers and products run along its t tuples.
+    (+1 emit, -1 absorb). The source part depends on a and the order only,
+    so every destination of a can share it; the destination part holds
+    the couplings of b. State-indexed tables are stored state-major, so a
+    chunk's gathers and products run along its t tuples.
     """
 
-    d_e: np.ndarray  #: E - E_a, length n
-    freqs: np.ndarray  #: mode frequencies, length M
-    eta: float
-    v_ba: np.ndarray  #: V[:, b, a], length M
-    v_b: np.ndarray  #: [c, q] = V[q, b, c], n x M
+    # source part
     #: s -> [d, r] = V[r, d, a] / (E_d - E_a + s w_r + i eta), n x M
     right: dict[int, np.ndarray]
     #: s -> min over d of |E_d - E_a + s w_r|, length M
     right_min: dict[int, np.ndarray]
-    #: order 6 only: s -> [c, q M + r] = sum_d V[q, c, d] right[s][d, r], n x M^2
-    #: (q M + r fits in int32 for any M whose table fits in memory)
-    inner: dict[int, np.ndarray]
+    #: order 6 only: (s_q, s_r) -> [c, pair(q, r)] =
+    #: (inner_{s_r}[c; q, r] + inner_{s_q}[c; r, q]) / D_c(q, r), with
+    #: inner_s[c; q, r] = sum_d V[q, c, d] right[s][d, r] and the outer
+    #: denominator D_c(q, r) = E_c - E_a + (s_q w_q + s_r w_r) + i eta.
+    #: Equal signs give a symmetric table, stored as its strict upper
+    #: triangle (n x M(M-1)/2, column tri_row[q] + r for q < r); mixed signs
+    #: store _MIXED in full (n x M^2, column q M + r), and (ABSORB, EMIT)
+    #: reads it at (r, q). q M + r fits in int32 for any M whose table fits
+    #: in memory.
+    pairs: dict[tuple[int, int], np.ndarray]
+    #: order 6 only: (s_q, s_r) -> min over c of |Re D_c(q, r)|, laid out as pairs
+    pair_min: dict[tuple[int, int], np.ndarray]
+    #: order 6 only: column of the packed pair (q, r) is tri_row[q] + r, length M
+    tri_row: np.ndarray | None
+    # destination part
+    v_ba: np.ndarray | None = None  #: V[:, b, a], length M
+    v_b: np.ndarray | None = None  #: [c, q] = V[q, b, c], n x M
 
 
-def _tables(order: int, b: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
-            v: np.ndarray, eta: float) -> _Tables:
-    """Everything an amplitude needs that depends on single modes or mode
-    pairs rather than on tuples; sizes are in the module docstring."""
+def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
+                   v: np.ndarray, eta: float) -> _Tables:
+    """The source part of the tables of every transition out of a; sizes are
+    in the module docstring. The pair tables are built one state c at a
+    time, so the build needs only a few M x M blocks beyond its output."""
     m, n = v.shape[:2]
-    right, right_min, inner = {}, {}, {}
+    right, right_min, pairs, pair_min = {}, {}, {}, {}
+    tri_row = None
     if order > 2:
         for s in (EMIT, ABSORB):
             real = np.add.outer(d_e, s * freqs)
             right_min[s] = np.min(np.abs(real), axis=0)
             right[s] = v[:, :, a].T / (real + 1j * eta)
-            if order == 6:
-                inner[s] = np.einsum("qcd,dr->cqr", v, right[s]).reshape(n, m * m)
-    v_b = np.ascontiguousarray(v[:, b, :].T)
-    return _Tables(d_e, freqs, eta, v[:, b, a], v_b, right, right_min, inner)
+    if order == 6:
+        upper = np.triu_indices(m, 1)
+        rows = np.arange(m)
+        tri_row = (rows * (m - 1) - rows * (rows - 1) // 2 - rows - 1).astype(np.int32)
+        for key in _PAIR_KEYS:
+            size = upper[0].size if key[0] == key[1] else m * m
+            pairs[key] = np.empty((n, size), dtype=complex)
+            pair_min[key] = np.full(size, np.inf)
+        for c in range(n):
+            inner = {s: v[:, c, :] @ right[s] for s in (EMIT, ABSORB)}
+            for key in _PAIR_KEYS:
+                s_q, s_r = key
+                real = d_e[c] + np.add.outer(s_q * freqs, s_r * freqs)
+                num = inner[s_r] + inner[s_q].T
+                if s_q == s_r:
+                    real, num = real[upper], num[upper]
+                else:
+                    real, num = real.ravel(), num.ravel()
+                pairs[key][c] = num / (real + 1j * eta)
+                np.minimum(pair_min[key], np.abs(real), out=pair_min[key])
+    return _Tables(right, right_min, pairs, pair_min, tri_row)
 
 
 def _single_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
@@ -349,22 +394,26 @@ def _pair_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
     return amp.real**2 + amp.imag**2, min_abs
 
 
+def _pair_column(tab: _Tables, s_q: int, s_r: int, q: np.ndarray, r: np.ndarray):
+    """Pair-table key and columns of the mode pairs q < r with signs (s_q, s_r)."""
+    if s_q == s_r:
+        return (s_q, s_r), np.take(tab.tri_row, q) + r
+    m = tab.tri_row.size
+    return _MIXED, (q * m + r if s_q == EMIT else r * m + q)
+
+
 def _triple_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
-    # Orderings (p, q, r) and (p, r, q) share the outer denominator
-    # E - E_a + s_q w_q + s_r w_r; the six are added in lexicographic order.
-    m = tab.freqs.size
-    shifts = [s * np.take(tab.freqs, ix) for s, ix in zip(signs, sel)]
+    # Orderings (p, q, r) and (p, r, q) share one pair-table entry, so each
+    # first mode p costs one gather from v_b and one from the pair table.
     min_abs = min(float(np.min(tab.right_min[s][ix])) for s, ix in zip(signs, sel))
     amp = np.zeros(sel[0].size, dtype=complex)
     for p in range(3):
         q, r = (i for i in range(3) if i != p)
-        real1 = np.add.outer(tab.d_e, shifts[q] + shifts[r])
-        min_abs = min(min_abs, float(np.min(np.abs(real1))))
-        den1 = real1 + 1j * tab.eta
-        v_b = np.take(tab.v_b, sel[p], axis=1)
-        for q, r in ((q, r), (r, q)):
-            inner = np.take(tab.inner[signs[r]], sel[q] * m + sel[r], axis=1)
-            amp += np.einsum("ct,ct->t", v_b, inner / den1)
+        key, col = _pair_column(tab, signs[q], signs[r], sel[q], sel[r])
+        min_abs = min(min_abs, float(np.min(np.take(tab.pair_min[key], col))))
+        terms = np.take(tab.v_b, sel[p], axis=1)
+        terms *= np.take(tab.pairs[key], col, axis=1)
+        amp += terms.sum(axis=0)
     return amp.real**2 + amp.imag**2, min_abs
 
 
@@ -460,8 +509,14 @@ def _rate_points(
     threads: int,
     mode_limits: Sequence[int] | None = None,
     scales: Sequence[float] | None = None,
+    sources: dict | None = None,
 ) -> list[RateBreakdown]:
-    """One RateBreakdown per point; see ``rate_at_order``."""
+    """One RateBreakdown per point; see ``rate_at_order``.
+
+    ``sources``, when given, maps (order, a) to source tables: the call
+    reuses an entry or adds the one it builds. Only calls on the same
+    model, lineshape and source may share the dict.
+    """
     if order not in _AMPLITUDES:
         raise ValueError(f"order must be 2, 4, or 6, got {order}")
     if threads < 1:
@@ -474,8 +529,14 @@ def _rate_points(
 
     omega_ba = system.transition_frequency(b, a)
     freqs = bath.frequencies
-    d_e = np.asarray(system.energies - system.energies[a])
-    tab = _tables(order, b, a, d_e, freqs, couplings.matrices, shape.eta)
+    v = couplings.matrices
+    source = None if sources is None else sources.get((order, a))
+    if source is None:
+        d_e = np.asarray(system.energies - system.energies[a])
+        source = _source_tables(order, a, d_e, freqs, v, shape.eta)
+        if sources is not None:
+            sources[order, a] = source
+    tab = source._replace(v_ba=v[:, b, a], v_b=np.ascontiguousarray(v[:, b, :].T))
     amplitude = _AMPLITUDES[order]
 
     sums: dict[SignPattern, np.ndarray] = {}
@@ -535,6 +596,7 @@ def rate_at_order(
     *,
     mode_limits: Sequence[int] | None = None,
     scales: Sequence[float] | None = None,
+    _sources: dict | None = None,
 ) -> RateBreakdown | list[RateBreakdown]:
     """Rate R_ba of the given perturbative order (2, 4, or 6), at one point or many.
 
@@ -555,10 +617,12 @@ def rate_at_order(
     whatever the number of points. The values at each temperature or
     scale are bit-identical to a one-point call there; mode-limit points
     agree with ``restrict_bath`` to rounding, since their sums run in
-    another order. ``threads`` must be at least 1.
+    another order. ``threads`` must be at least 1. ``_sources`` is private
+    to ``order_generator_matrices``, whose calls from one source share the
+    b-independent tables through it.
     """
     points = _rate_points(order, b, a, system, bath, couplings, temperature, shape,
-                          threads, mode_limits, scales)
+                          threads, mode_limits, scales, _sources)
     single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
     return points[0] if single else points
 

@@ -365,3 +365,80 @@ class TestNearResonantWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", NearResonantDenominatorWarning)
             fn(1, 0, *model, 300.0, Lineshape(eta=0.2))
+
+
+class TestPairTables:
+    """Order 6 reads one table per sign pair: packed upper triangles for equal
+    signs and one full table, read transposed for (-, +), for mixed signs."""
+
+    # every triple survives this window, so the packed-index corners (first
+    # and last mode) and both mixed-sign orientations are reached
+    WIDE = Lineshape(kind="lorentzian", sigma=40.0, window=1000.0)
+
+    def model(self, n_modes):
+        return generate_model(ModelSpec(seed=40 + n_modes, n_states=3, n_modes=n_modes,
+                                        gap=5.0, excited_offset=30.0,
+                                        freq_range=(20.0, 150.0)))
+
+    @pytest.mark.parametrize("n_modes", [3, 4, 5])
+    def test_matches_oracle_with_every_triple(self, n_modes):
+        model = self.model(n_modes)
+        for b, a in itertools.permutations(range(3), 2):
+            omega_ba = model.system.transition_frequency(b, a)
+            for pattern in sign_patterns(3):
+                triples = prune_triples(omega_ba, pattern, model.bath, self.WIDE)
+                assert len(triples) == math.comb(n_modes, 3)
+            fast = rate_three_phonon(b, a, *model, 280.0, self.WIDE)
+            naive = naive_rate_three_phonon(b, a, *model, 280.0, self.WIDE)
+            assert min(fast.per_channel.values()) > 0.0
+            assert max_channel_dev(fast, naive) <= 1e-10, (n_modes, b, a)
+
+    @pytest.mark.parametrize("n_modes", [4, 5])
+    def test_two_threads_bit_identical(self, monkeypatch, n_modes):
+        from spinphonon import rates
+
+        monkeypatch.setattr(rates, "CHUNK", 2)
+        model = self.model(n_modes)
+        for b, a in itertools.permutations(range(3), 2):
+            one = rate_three_phonon(b, a, *model, 280.0, self.WIDE, threads=1)
+            two = rate_three_phonon(b, a, *model, 280.0, self.WIDE, threads=2)
+            assert two.per_channel == one.per_channel
+
+    def test_tables_no_larger_than_the_inner_table(self):
+        from spinphonon import rates
+
+        model = self.model(7)
+        m, n = model.bath.n_modes, model.system.n_states
+        d_e = model.system.energies - model.system.energies[1]
+        tab = rates._source_tables(6, 1, d_e, model.bath.frequencies,
+                                   model.couplings.matrices, 1.0)
+        arrays = [x for field in tab for x in
+                  (field.values() if isinstance(field, dict) else [field])]
+        entries = sum(x.size for x in arrays if np.iscomplexobj(x))
+        assert entries <= 2 * m * n + 2 * m * m * n
+        assert sorted(tab.pairs) == sorted([(EMIT, EMIT), (ABSORB, ABSORB), (EMIT, ABSORB)])
+        for (s_q, s_r), table in tab.pairs.items():
+            width = m * (m - 1) // 2 if s_q == s_r else m * m
+            assert table.shape == (n, width)
+            assert tab.pair_min[s_q, s_r].shape == (width,)
+
+    def test_generator_builds_one_table_set_per_source(self, shape, monkeypatch):
+        from spinphonon import order_generator_matrices, rate_at_order, rates
+
+        model = generate_model(ModelSpec(seed=22, n_states=4, n_modes=10, gap=5.0,
+                                         excited_offset=30.0,
+                                         freq_range=(20.0, 150.0)))
+        builds = []
+        build = rates._source_tables
+
+        def counting(order, a, *args):
+            builds.append((order, a))
+            return build(order, a, *args)
+
+        monkeypatch.setattr(rates, "_source_tables", counting)
+        matrix = order_generator_matrices(model, 280.0, shape, (6,))[6]
+        assert builds == [(6, a) for a in range(4)]
+        for b, a in itertools.permutations(range(4), 2):
+            alone = rate_at_order(6, b, a, *model, 280.0, shape)
+            assert alone.total > 0.0
+            assert matrix[b, a] == alone.total
