@@ -29,7 +29,6 @@ from .core import (
     validate_model,
     with_coupling_scale,
 )
-from .amplitudes import amp2, amp3
 from .rates import (
     RateBreakdown,
     TripleIndex,
@@ -64,6 +63,7 @@ from .oracle import (
     generate_model,
     naive_rate_three_phonon,
     naive_rate_two_phonon,
+    relative_deviation,
 )
 from .io import (
     ModelFileError,

@@ -3,7 +3,8 @@
 Subcommands: rates, t1, sweep-temp, sweep-cutoff, sweep-lambda, crossover,
 gen-model, oracle-check. Exit codes: 0 success, 1 validation/usage error,
 2 internal error. Identical arguments and input files produce identical
-output files for any --threads value.
+output files. The rate kernels run on one thread; --threads is accepted
+and validated (at least 1) but does not change what runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .oracle import (
     generate_model,
     naive_rate_three_phonon,
     naive_rate_two_phonon,
+    relative_deviation,
 )
 from .rates import rate_at_order
 from .sweeps import find_crossover, sweep_cutoff, sweep_lambda, sweep_temperature
@@ -70,6 +72,16 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, npts)
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse threads {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
 def _parse_transition(text: str) -> tuple[int, int]:
     try:
         b, a = (int(tok) for tok in text.split(","))
@@ -101,15 +113,19 @@ def _add_shape_args(p: argparse.ArgumentParser) -> None:
                    default="gaussian", help="broadened delta kind (default gaussian)")
 
 
+def _add_threads_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=_parse_threads, default=1,
+                   help="accepted for compatibility, at least 1; the rate "
+                        "kernels run on one thread (default 1)")
+
+
 def _add_common_args(p: argparse.ArgumentParser, orders_default: str = "2,4,6") -> None:
     p.add_argument("--input", required=True, help="model JSON file")
     p.add_argument("--orders", type=_parse_orders, default=_parse_orders(orders_default),
                    help=f"comma-separated subset of 2,4,6 (default {orders_default})")
     p.add_argument("--temp", type=float, default=300.0,
                    help="temperature in kelvin (default 300)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the rate kernels, at least 1 "
-                        "(default 1)")
+    _add_threads_arg(p)
     _add_shape_args(p)
 
 
@@ -150,7 +166,7 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _channel_columns(model: Model, transition, orders, temperature, shape, threads,
+def _channel_columns(model: Model, transition, orders, temperature, shape,
                      scales=None):
     """Per-channel rate columns (s^-1) at a fixed transition, one row per point.
 
@@ -164,8 +180,7 @@ def _channel_columns(model: Model, transition, orders, temperature, shape, threa
         for pattern in sign_patterns(order // 2)
     ]
     per_order = [
-        rate_at_order(order, b, a, *model, temperature, shape, threads=threads,
-                      scales=scales)
+        rate_at_order(order, b, a, *model, temperature, shape, scales=scales)
         for order in orders
     ]
     rows = [
@@ -186,8 +201,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     system, bath, couplings = model
     out = []
     for order in args.orders:
-        bd = rate_at_order(order, b, a, system, bath, couplings, args.temp, shape,
-                           threads=args.threads)
+        bd = rate_at_order(order, b, a, system, bath, couplings, args.temp, shape)
         out.append(f"order {order} transition {b}<-{a}:")
         for pattern, value in bd.per_channel.items():
             out.append(f"  {pattern.label:>3} : {format_number(value)} s^-1")
@@ -199,8 +213,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 def _cmd_t1(args: argparse.Namespace) -> int:
     model = load_system(args.input)
     shape = _shape_from_args(args)
-    gen = assemble_generator(model, args.temp, shape, args.orders,
-                             threads=args.threads)
+    gen = assemble_generator(model, args.temp, shape, args.orders)
     _emit(format_number(extract_t1(gen)) + "\n", args.output)
     return 0
 
@@ -222,12 +235,11 @@ def _sweep_csv(axis_name, axis, t1_per_order, channel_extra=None) -> str:
 def _cmd_sweep_temp(args: argparse.Namespace) -> int:
     model = load_system(args.input)
     shape = _shape_from_args(args)
-    series = sweep_temperature(model, args.grid, args.orders, shape,
-                               threads=args.threads)
+    series = sweep_temperature(model, args.grid, args.orders, shape)
     extra = None
     if args.channels:
         extra = _channel_columns(model, args.transition, args.orders, args.grid,
-                                 shape, args.threads)
+                                 shape)
     _emit(_sweep_csv("temperature_K", series.axis, series.t1_per_order, extra),
           args.output)
     return 0
@@ -238,8 +250,7 @@ def _cmd_sweep_cutoff(args: argparse.Namespace) -> int:
     shape = _shape_from_args(args)
     t1_per_order = {}
     for order in args.orders:
-        series = sweep_cutoff(model, args.grid, order, args.temp, shape,
-                              threads=args.threads)
+        series = sweep_cutoff(model, args.grid, order, args.temp, shape)
         t1_per_order[order] = series.t1_per_order[order]
     _emit(_sweep_csv("cutoff_cm-1", args.grid, t1_per_order), args.output)
     return 0
@@ -248,12 +259,11 @@ def _cmd_sweep_cutoff(args: argparse.Namespace) -> int:
 def _cmd_sweep_lambda(args: argparse.Namespace) -> int:
     model = load_system(args.input)
     shape = _shape_from_args(args)
-    series = sweep_lambda(model, args.grid, args.orders, args.temp, shape,
-                          threads=args.threads)
+    series = sweep_lambda(model, args.grid, args.orders, args.temp, shape)
     extra = None
     if args.channels:
         extra = _channel_columns(model, args.transition, args.orders, args.temp,
-                                 shape, args.threads, scales=args.grid)
+                                 shape, scales=args.grid)
     _emit(_sweep_csv("lambda", series.axis, series.t1_per_order, extra), args.output)
     return 0
 
@@ -261,8 +271,7 @@ def _cmd_sweep_lambda(args: argparse.Namespace) -> int:
 def _cmd_crossover(args: argparse.Namespace) -> int:
     model = load_system(args.input)
     shape = _shape_from_args(args)
-    lam = find_crossover(model, args.temp, shape, bracket=args.bracket,
-                         threads=args.threads)
+    lam = find_crossover(model, args.temp, shape, bracket=args.bracket)
     if lam is None:
         _emit(
             f"no crossover in bracket [{args.bracket[0]:g}, {args.bracket[1]:g}]\n",
@@ -292,13 +301,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             (6, naive_rate_three_phonon),
         ):
             fast = rate_at_order(order, b, a, system, bath, couplings, args.temp,
-                                 shape, threads=args.threads)
+                                 shape)
             naive = naive_fn(b, a, system, bath, couplings, args.temp, shape)
             for pattern in fast.per_channel:
-                x = fast.per_channel[pattern]
-                y = naive.per_channel[pattern]
-                ref = max(abs(x), abs(y))
-                dev = abs(x - y) / ref if ref > 0.0 else 0.0
+                dev = relative_deviation(fast.per_channel[pattern],
+                                         naive.per_channel[pattern])
                 worst = max(worst, dev)
                 lines.append(
                     f"order {order} {b}<-{a} channel {pattern.label:>3} : "
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare optimized rates against the naive reference")
     _add_spec_args(p)
     p.add_argument("--temp", type=float, default=300.0)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_arg(p)
     p.add_argument("--output", default=None)
     _add_shape_args(p)
     p.set_defaults(func=_cmd_oracle_check)

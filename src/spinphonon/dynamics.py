@@ -86,7 +86,6 @@ def order_generator_matrices(
     temperature: float | Sequence[float],
     shape: Lineshape,
     orders: Iterable[int] = _VALID_ORDERS,
-    threads: int = 1,
     *,
     mode_limits: Sequence[int] | None = None,
     scales: Sequence[float] | None = None,
@@ -114,8 +113,7 @@ def order_generator_matrices(
                 if b != a:
                     rates = rate_at_order(
                         order, b, a, system, bath, couplings, temperature, shape,
-                        threads=threads, mode_limits=mode_limits, scales=scales,
-                        _sources=sources,
+                        mode_limits=mode_limits, scales=scales, _sources=sources,
                     )
                     per_point[b, a] = [rates] if single else rates
         matrices = []
@@ -135,14 +133,13 @@ def assemble_generator(
     temperature: float,
     shape: Lineshape,
     orders: Iterable[int] = _VALID_ORDERS,
-    threads: int = 1,
 ) -> RateGenerator:
     """Sum the per-order generators into one Markovian population generator.
 
     Adding the per-order matrices entrywise (in ascending order) makes the
     generator exactly additive over orders.
     """
-    per_order = order_generator_matrices(model, temperature, shape, orders, threads)
+    per_order = order_generator_matrices(model, temperature, shape, orders)
     orders = tuple(sorted(per_order))
     total = np.zeros_like(next(iter(per_order.values())))
     for order in orders:

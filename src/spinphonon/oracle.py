@@ -34,6 +34,13 @@ _TWO_PI = 2.0 * np.pi
 MAX_NAIVE_MODES = 60
 
 
+def relative_deviation(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|), the measure fast rates are held to against
+    the naive ones; 0 when both are 0."""
+    ref = max(abs(x), abs(y))
+    return abs(x - y) / ref if ref > 0.0 else 0.0
+
+
 def _naive_breakdown(order: int, values: dict[SignPattern, float]) -> RateBreakdown:
     total = 0.0
     ordered = {}

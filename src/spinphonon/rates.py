@@ -19,11 +19,11 @@ binary search on the sorted mode frequencies.
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
 several coupling scales. Surviving tuples are evaluated vectorized in
-fixed-size chunks; each chunk's |A|^2 is computed once and reduced against
-every point, and the chunk partial sums are added in chunk order. The
-chunk boundaries do not depend on the thread count, so results are
-bit-identical for any ``threads`` value; ``threads=1`` is the strictly
-sequential reference mode.
+fixed-size chunks on the calling thread; each chunk's |A|^2 is computed
+once and reduced against every point, and the chunk partial sums are added
+in chunk order, so results are bit-stable from run to run. The
+``threads`` argument of the public rate functions is validated (at least
+1) and otherwise ignored.
 
 Before its chunk loop, a call of one transition b <- a tabulates what depends
 on single modes or mode pairs. For each sign s = +-1 it forms the propagated
@@ -47,9 +47,7 @@ and three n-term dots, with no division.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -71,8 +69,8 @@ from .core import (
 )
 
 #: Triples (and pairs) are evaluated in fixed chunks of this many entries.
-#: The value is part of the determinism contract: it must not depend on
-#: the thread count or the machine.
+#: The chunk boundaries fix the summation order, so the printed digits
+#: depend on this value.
 CHUNK = 4096
 
 _PERMS2 = ((0, 1), (1, 0))
@@ -423,36 +421,6 @@ _PHONONS = {4: "two", 6: "three"}
 
 
 # ---------------------------------------------------------------------------
-# chunked deterministic reduction
-
-
-def _chunk_ranges(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-
-
-def _reduce_chunks(task, n: int, threads: int) -> tuple[np.ndarray, float]:
-    """Sum task(lo, hi) over fixed chunks, reducing in chunk order.
-
-    ``task`` returns (partial sums, one per point; min_abs_denominator).
-    The pool never has more workers than chunks or CPUs. The reduction
-    order never depends on the thread count, so the result is bit-stable.
-    """
-    ranges = _chunk_ranges(n)
-    workers = min(threads, len(ranges), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: task(*r), ranges))
-    else:
-        results = [task(lo, hi) for lo, hi in ranges]
-    total = 0.0
-    min_abs = np.inf
-    for partial, chunk_min in results:
-        total = total + partial
-        min_abs = min(min_abs, chunk_min)
-    return total, min_abs
-
-
-# ---------------------------------------------------------------------------
 # rates at many points
 
 
@@ -506,7 +474,6 @@ def _rate_points(
     couplings: CouplingSet,
     temperature: float | Sequence[float],
     shape: Lineshape,
-    threads: int,
     mode_limits: Sequence[int] | None = None,
     scales: Sequence[float] | None = None,
     sources: dict | None = None,
@@ -519,8 +486,6 @@ def _rate_points(
     """
     if order not in _AMPLITUDES:
         raise ValueError(f"order must be 2, 4, or 6, got {order}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     _check_transition(b, a, system.n_states)
     temps = np.asarray(temperature, dtype=float)
     limits, scales = _check_points(temps, mode_limits, scales, bath.n_modes)
@@ -543,33 +508,30 @@ def _rate_points(
     min_abs_all = np.inf
     for pattern in sign_patterns(order // 2):
         idx = _prune(order, omega_ba, pattern, bath, shape)
-        if not idx[0].size:
-            sums[pattern] = np.zeros(n_sums)
-            continue
         signs = pattern.signs
-
-        def task(lo: int, hi: int) -> tuple[np.ndarray, float]:
-            sel = tuple(ix[lo:hi] for ix in idx)
+        total = np.zeros(n_sums)
+        for lo in range(0, idx[0].size, CHUNK):
+            sel = tuple(ix[lo:lo + CHUNK] for ix in idx)
             amp2, min_abs = amplitude(sel, signs, tab)
+            min_abs_all = min(min_abs_all, min_abs)
             mismatch = omega_ba
             for s, ix in zip(signs, sel):
                 mismatch = mismatch + s * freqs[ix]
             line = _weights(mismatch, shape)
             if limits is None:
-                partial = [
+                partial = np.array([
                     np.sum(amp2 * (_bose_product(occ, sel, signs) * line))
                     for occ in occs
-                ]
-                return np.array(partial), min_abs
-            # bin by the first limit admitting the tuple's largest mode;
-            # tuples no limit admits land in the dropped last bin
-            contrib = amp2 * (_bose_product(occs[0], sel, signs) * line)
-            first = np.searchsorted(limits, sel[-1], side="right")
-            binned = np.bincount(first, weights=contrib, minlength=n_sums + 1)
-            return np.cumsum(binned[:n_sums]), min_abs
-
-        sums[pattern], min_abs = _reduce_chunks(task, idx[0].size, threads)
-        min_abs_all = min(min_abs_all, min_abs)
+                ])
+            else:
+                # bin by the first limit admitting the tuple's largest mode;
+                # tuples no limit admits land in the dropped last bin
+                contrib = amp2 * (_bose_product(occs[0], sel, signs) * line)
+                first = np.searchsorted(limits, sel[-1], side="right")
+                binned = np.bincount(first, weights=contrib, minlength=n_sums + 1)
+                partial = np.cumsum(binned[:n_sums])
+            total = total + partial
+        sums[pattern] = total
     if min_abs_all < shape.eta / 10.0:
         warnings.warn(
             f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of zero "
@@ -617,12 +579,15 @@ def rate_at_order(
     whatever the number of points. The values at each temperature or
     scale are bit-identical to a one-point call there; mode-limit points
     agree with ``restrict_bath`` to rounding, since their sums run in
-    another order. ``threads`` must be at least 1. ``_sources`` is private
-    to ``order_generator_matrices``, whose calls from one source share the
+    another order. ``threads`` must be at least 1 and is otherwise ignored:
+    the kernel runs on the calling thread. ``_sources`` is private to
+    ``order_generator_matrices``, whose calls from one source share the
     b-independent tables through it.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     points = _rate_points(order, b, a, system, bath, couplings, temperature, shape,
-                          threads, mode_limits, scales, _sources)
+                          mode_limits, scales, _sources)
     single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
     return points[0] if single else points
 
@@ -646,7 +611,7 @@ def rate_one_phonon(
     (Bose factor and broadened delta at omega_ba + s omega_alpha),
     converted to s^-1.
     """
-    return _rate_points(2, b, a, system, bath, couplings, temperature, shape, 1)[0]
+    return rate_at_order(2, b, a, system, bath, couplings, temperature, shape)
 
 
 def rate_two_phonon(
@@ -666,8 +631,8 @@ def rate_two_phonon(
     orderings of the pair) times the channel weight. Equal-index pairs are
     excluded by the strict ordering.
     """
-    return _rate_points(4, b, a, system, bath, couplings, temperature, shape,
-                        threads)[0]
+    return rate_at_order(4, b, a, system, bath, couplings, temperature, shape,
+                         threads)
 
 
 def rate_three_phonon(
@@ -685,8 +650,7 @@ def rate_three_phonon(
     Each channel sums, over pruned triples alpha < beta < gamma, the
     squared modulus of the six-ordering amplitude (one two-denominator
     term per permutation of the triple, with frequency signs fixed by the
-    channel) times the channel weight. Outputs are bit-identical for any
-    thread count.
+    channel) times the channel weight.
     """
-    return _rate_points(6, b, a, system, bath, couplings, temperature, shape,
-                        threads)[0]
+    return rate_at_order(6, b, a, system, bath, couplings, temperature, shape,
+                         threads)

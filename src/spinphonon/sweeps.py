@@ -90,7 +90,6 @@ def sweep_temperature(
     temperatures: Sequence[float],
     orders: Iterable[int] = (2, 4, 6),
     shape: Lineshape = Lineshape(),
-    threads: int = 1,
 ) -> SweepSeries:
     """T1 versus temperature, one series per requested order.
 
@@ -100,7 +99,7 @@ def sweep_temperature(
     """
     temps = _axis(temperatures)
     orders = tuple(sorted(set(orders)))
-    mats = order_generator_matrices(model, temps, shape, orders, threads)
+    mats = order_generator_matrices(model, temps, shape, orders)
     return SweepSeries(
         axis=temps,
         t1_per_order={k: _t1_per_point(mats[k], k) for k in orders},
@@ -115,7 +114,6 @@ def sweep_cutoff(
     order: int,
     temperature: float,
     shape: Lineshape = Lineshape(),
-    threads: int = 1,
 ) -> SweepSeries:
     """T1 versus the phonon high-energy cutoff, at a single order.
 
@@ -130,7 +128,7 @@ def sweep_cutoff(
     cuts = _axis(cutoffs)
     sub = restrict_bath(model, float(cuts[-1]))
     limits = np.searchsorted(sub.bath.frequencies, cuts, side="right")
-    mats = order_generator_matrices(sub, temperature, shape, (order,), threads,
+    mats = order_generator_matrices(sub, temperature, shape, (order,),
                                     mode_limits=limits)
     return SweepSeries(
         axis=cuts,
@@ -147,7 +145,6 @@ def sweep_lambda(
     orders: Iterable[int] = (4, 6),
     temperature: float = 300.0,
     shape: Lineshape = Lineshape(),
-    threads: int = 1,
 ) -> SweepSeries:
     """T1 versus the homogeneous coupling multiplier, per order.
 
@@ -157,7 +154,7 @@ def sweep_lambda(
     """
     lams = _axis(scales)
     orders = tuple(sorted(set(orders)))
-    mats = order_generator_matrices(model, temperature, shape, orders, threads,
+    mats = order_generator_matrices(model, temperature, shape, orders,
                                     scales=lams)
     return SweepSeries(
         axis=lams,
@@ -176,16 +173,16 @@ def crossover_scale(rate4: float, rate6: float) -> float:
 
 
 def _order_rate_metric(
-    model: Model, order: int, temperature: float, shape: Lineshape, threads: int
+    model: Model, order: int, temperature: float, shape: Lineshape
 ) -> float:
     """Total rate compared between orders: the (1, 0) transition rate for a
     two-level model, the slowest decay rate 1/T1 otherwise."""
     system, bath, couplings = model
     if system.n_states == 2:
         return rate_at_order(
-            order, 1, 0, system, bath, couplings, temperature, shape, threads=threads
+            order, 1, 0, system, bath, couplings, temperature, shape
         ).total
-    gen = assemble_generator(model, temperature, shape, (order,), threads)
+    gen = assemble_generator(model, temperature, shape, (order,))
     return slowest_decay(gen).rate
 
 
@@ -194,7 +191,6 @@ def find_crossover(
     temperature: float,
     shape: Lineshape = Lineshape(),
     bracket: tuple[float, float] = (1e-2, 1e4),
-    threads: int = 1,
 ) -> float | None:
     """Coupling scale at which the three-phonon rate overtakes the two-phonon one.
 
@@ -208,8 +204,8 @@ def find_crossover(
         raise ValueError("bracket must satisfy 0 < lo < hi")
     base = with_coupling_scale(model, 1.0)
     lam = crossover_scale(
-        _order_rate_metric(base, 4, temperature, shape, threads),
-        _order_rate_metric(base, 6, temperature, shape, threads),
+        _order_rate_metric(base, 4, temperature, shape),
+        _order_rate_metric(base, 6, temperature, shape),
     )
     return lam if lo <= lam <= hi else None
 

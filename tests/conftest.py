@@ -9,17 +9,14 @@ from spinphonon import (
     PhononBath,
     SpinSystem,
     generate_model,
+    relative_deviation,
 )
-
-
-def rel_dev(x: float, y: float) -> float:
-    ref = max(abs(x), abs(y))
-    return abs(x - y) / ref if ref > 0.0 else 0.0
 
 
 def max_channel_dev(fast, naive) -> float:
     return max(
-        rel_dev(fast.per_channel[p], naive.per_channel[p]) for p in fast.per_channel
+        relative_deviation(fast.per_channel[p], naive.per_channel[p])
+        for p in fast.per_channel
     )
 
 

@@ -36,6 +36,7 @@ from spinphonon import (
     rate_one_phonon,
     rate_three_phonon,
     rate_two_phonon,
+    relative_deviation,
     restrict_bath,
     sign_patterns,
     slowest_decay,
@@ -51,14 +52,10 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 def channel_deviation(fast, naive) -> float:
-    worst = 0.0
-    for pattern in fast.per_channel:
-        x = fast.per_channel[pattern]
-        y = naive.per_channel[pattern]
-        ref = max(abs(x), abs(y))
-        if ref > 0.0:
-            worst = max(worst, abs(x - y) / ref)
-    return worst
+    return max(
+        relative_deviation(fast.per_channel[p], naive.per_channel[p])
+        for p in fast.per_channel
+    )
 
 
 def test_criterion_1_oracle_equivalence():

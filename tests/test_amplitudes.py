@@ -1,201 +1,194 @@
+"""Physics of the two- and three-phonon amplitudes, seen through the order-4
+and order-6 rates that square them.
+
+``TestAmp2`` checks the two-phonon (order 4) amplitude, ``TestAmp3`` the
+three-phonon (order 6) one; the hand-computed cases use windows narrow
+enough that a single channel and a single tuple survive.
+"""
+
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphonon import (
-    ABSORB,
-    EMIT,
+    CM_TO_RATE_S,
     CouplingSet,
+    Lineshape,
+    Model,
     ModelSpec,
     PhononBath,
+    SignPattern,
     SpinSystem,
-    amp2,
-    amp3,
+    bose_occupation,
     generate_model,
+    naive_rate_two_phonon,
+    rate_at_order,
     with_coupling_scale,
 )
 
-from conftest import hermitian
+from conftest import hermitian, max_channel_dev
+
+#: Unit width and a vanishing regulator: only exact resonances survive the
+#: window, and eta changes the hand-computed amplitudes by about 1e-20.
+NARROW = Lineshape(sigma=1.0, eta=1e-9, window=6.0)
 
 
-def toy_amp2_setup():
-    system = SpinSystem([0.0, 10.0, 50.0])
-    bath = PhononBath([20.0, 30.0])
-    va = np.zeros((3, 3), dtype=complex)
-    va[1, 2] = va[2, 1] = 2.0
-    vb = np.zeros((3, 3), dtype=complex)
-    vb[2, 0] = vb[0, 2] = 3.0
-    return system, bath, CouplingSet(np.stack([va, vb]))
+def only_channel(bd, label):
+    """The value of the one nonzero channel, after checking the rest are 0."""
+    others = [v for p, v in bd.per_channel.items() if p.label != label]
+    assert others == [0.0] * len(others)
+    return bd.channel(label)
+
+
+def peak_rate(amp_sq, bose):
+    """2 pi |A|^2 times the Bose factors and the NARROW peak, in s^-1."""
+    return 2.0 * math.pi * amp_sq * bose / math.sqrt(2.0 * math.pi) * CM_TO_RATE_S
+
+
+def close_levels_model(seed, n_states, n_modes):
+    """Levels close enough that every transition has surviving tuples."""
+    return generate_model(ModelSpec(seed=seed, n_states=n_states, n_modes=n_modes,
+                                    gap=5.0, excited_offset=30.0,
+                                    freq_range=(20.0, 150.0)))
 
 
 class TestAmp2:
-    def test_zero_couplings(self):
-        system = SpinSystem([0.0, 10.0])
-        bath = PhononBath([25.0])
-        cpl = CouplingSet(np.zeros((1, 2, 2), dtype=complex))
-        assert amp2(1, 0, 0, 0, EMIT, system, bath, cpl, eta=1.0) == 0.0
+    def test_zero_couplings(self, shape):
+        model = Model(SpinSystem([0.0, 10.0]), PhononBath([25.0, 30.0]),
+                      CouplingSet(np.zeros((2, 2, 2), dtype=complex)))
+        bd = rate_at_order(4, 1, 0, *model, 300.0, shape)
+        assert list(bd.per_channel.values()) == [0.0] * 4
 
     def test_single_path(self):
-        # V^a_bc = 2, V^b_ca = 3, E_c - E_a = 50, w_beta = 30, plus sign:
-        # 2 * 3 / (50 + 30) = 0.075
-        system, bath, cpl = toy_amp2_setup()
-        value = amp2(1, 0, 0, 1, EMIT, system, bath, cpl, eta=1e-9)
-        assert value == pytest.approx(0.075, rel=1e-10)
+        # V^0_12 = 2 (w_0 = 20) and V^1_20 = 3 (w_1 = 30). In channel "+-",
+        # 10 + 20 - 30 = 0: emit mode 0 after absorbing mode 1 through state
+        # 2, A = 2 * 3 / (50 - 30) = 0.3; the other ordering has V^1_1c = 0.
+        va = np.zeros((3, 3), dtype=complex)
+        va[1, 2] = va[2, 1] = 2.0
+        vb = np.zeros((3, 3), dtype=complex)
+        vb[2, 0] = vb[0, 2] = 3.0
+        model = Model(SpinSystem([0.0, 10.0, 50.0]), PhononBath([20.0, 30.0]),
+                      CouplingSet(np.stack([va, vb])))
+        t = 300.0
+        bose = (bose_occupation(20.0, t) + 1.0) * bose_occupation(30.0, t)
+        value = only_channel(rate_at_order(4, 1, 0, *model, t, NARROW), "+-")
+        assert value == pytest.approx(peak_rate(0.09, bose), rel=1e-12)
 
-    def test_reversed_summation_oracle(self):
-        model = generate_model(ModelSpec(seed=21, n_states=4, n_modes=6))
-        system, bath, cpl = model
-        eta = 0.7
-        b, a, alpha, beta, sign = 2, 0, 1, 4, ABSORB
-        got = amp2(b, a, alpha, beta, sign, system, bath, cpl, eta)
-        # independent re-evaluation, reversed loop order
-        acc = 0j
-        for c in reversed(range(system.n_states)):
-            den = complex(
-                system.energies[c] - system.energies[a]
-                + sign * bath.frequencies[beta],
-                eta,
-            )
-            acc += cpl.matrices[alpha][b, c] * cpl.matrices[beta][c, a] / den
-        assert got == pytest.approx(complex(acc), rel=1e-13)
+    def test_reversed_summation_oracle(self, shape):
+        # the naive oracle sums over states and orderings in its own loops
+        model = close_levels_model(21, 4, 6)
+        fast = rate_at_order(4, 2, 0, *model, 300.0, shape)
+        naive = naive_rate_two_phonon(2, 0, *model, 300.0, shape)
+        assert fast.total > 0.0
+        assert max_channel_dev(fast, naive) <= 1e-10
 
-    def test_index_errors(self):
-        system, bath, cpl = toy_amp2_setup()
+    def test_index_errors(self, shape, small_model):
         with pytest.raises(IndexError):
-            amp2(3, 0, 0, 1, EMIT, system, bath, cpl, eta=1.0)
+            rate_at_order(4, 3, 0, *small_model, 300.0, shape)
         with pytest.raises(IndexError):
-            amp2(1, 0, 0, 2, EMIT, system, bath, cpl, eta=1.0)
+            rate_at_order(4, 1, -1, *small_model, 300.0, shape)
         with pytest.raises(ValueError):
-            amp2(1, 0, 0, 1, 2, system, bath, cpl, eta=1.0)
+            rate_at_order(4, 1, 1, *small_model, 300.0, shape)
 
 
 class TestAmp3:
-    def test_zero_couplings(self):
-        system = SpinSystem([0.0, 10.0])
-        bath = PhononBath([10.0, 20.0, 30.0])
-        cpl = CouplingSet(np.zeros((3, 2, 2), dtype=complex))
-        assert amp3(1, 0, (0, 1, 2), (EMIT, EMIT), system, bath, cpl, eta=1.0) == 0.0
+    def test_zero_couplings(self, shape):
+        model = Model(SpinSystem([0.0, 10.0]), PhononBath([10.0, 20.0, 30.0]),
+                      CouplingSet(np.zeros((3, 2, 2), dtype=complex)))
+        bd = rate_at_order(6, 1, 0, *model, 300.0, shape)
+        assert list(bd.per_channel.values()) == [0.0] * 8
 
     def test_single_path(self):
-        # surviving term (c=a, d=a): 1 / ((20 + 30) * 30) = 1/1500
-        system = SpinSystem([0.0, 10.0])
-        bath = PhononBath([10.0, 20.0, 30.0])
-        vmu = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        vnu = np.diag([1.0, 0.0]).astype(complex)
-        vxi = np.diag([1.0, 0.0]).astype(complex)
-        cpl = CouplingSet(np.stack([vmu, vnu, vxi]))
-        value = amp3(1, 0, (0, 1, 2), (EMIT, EMIT), system, bath, cpl, eta=1e-9)
-        assert value == pytest.approx(1.0 / 1500.0, rel=1e-9)
+        # V^0 flips 0 <-> 1 and V^1 = V^2 = diag(1, 0), so only the paths
+        # that apply modes 1 and 2 inside state 0 and mode 0 last survive.
+        # In channel "++-", 10 + 13 + 27 - 50 = 0, and the two orderings
+        # 1/((27 - 50)(-50)) + 1/((27 - 50) 27) add up to 1/(27 * -50).
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        ground = np.diag([1.0, 0.0]).astype(complex)
+        model = Model(SpinSystem([0.0, 10.0]), PhononBath([13.0, 27.0, 50.0]),
+                      CouplingSet(np.stack([flip, ground, ground])))
+        t = 300.0
+        bose = ((bose_occupation(13.0, t) + 1.0) * (bose_occupation(27.0, t) + 1.0)
+                * bose_occupation(50.0, t))
+        value = only_channel(rate_at_order(6, 1, 0, *model, t, NARROW), "++-")
+        assert value == pytest.approx(peak_rate(1.0 / 1350.0**2, bose), rel=1e-9)
 
-    def test_collapse_to_single_denominator(self):
-        # identity third coupling and a vanishing third frequency reduce
-        # the double sum to amp2 / (i eta); checked against brute force
-        model = generate_model(ModelSpec(seed=31, n_states=3, n_modes=2))
-        system, _, base = model
-        eps = 1e-12
-        bath = PhononBath([eps, 20.0, 30.0])
-        mats = np.concatenate(
-            [np.eye(3, dtype=complex)[None, :, :], base.matrices], axis=0
-        )
-        cpl = CouplingSet(mats)
-        eta = 0.5
-        b, a = 1, 0
-        got = amp3(b, a, (1, 2, 0), (EMIT, EMIT), system, bath, cpl, eta)
-        # brute-force double loop
-        acc = 0j
-        for c in range(3):
-            for d in range(3):
-                num = (
-                    cpl.matrices[1][b, c]
-                    * cpl.matrices[2][c, d]
-                    * cpl.matrices[0][d, a]
-                )
-                den1 = complex(
-                    system.energies[c] - system.energies[a]
-                    + bath.frequencies[2] + bath.frequencies[0],
-                    eta,
-                )
-                den2 = complex(
-                    system.energies[d] - system.energies[a] + bath.frequencies[0], eta
-                )
-                acc += num / (den1 * den2)
-        assert got == pytest.approx(complex(acc), rel=1e-12)
-        # analytic collapse: identity V^xi keeps only d = a
-        amp2_part = amp2(b, a, 1, 2, EMIT, system, bath, cpl, eta)
-        assert got == pytest.approx(amp2_part / complex(eps, eta), rel=1e-6)
-
-    def test_index_errors(self):
-        system = SpinSystem([0.0, 10.0])
-        bath = PhononBath([10.0, 20.0, 30.0])
-        cpl = CouplingSet(np.zeros((3, 2, 2), dtype=complex))
+    def test_index_errors(self, shape):
+        model = generate_model(ModelSpec(seed=3, n_states=2, n_modes=5))
         with pytest.raises(IndexError):
-            amp3(1, 0, (0, 1, 3), (EMIT, EMIT), system, bath, cpl, eta=1.0)
-        with pytest.raises(IndexError):
-            amp3(2, 0, (0, 1, 2), (EMIT, EMIT), system, bath, cpl, eta=1.0)
+            rate_at_order(6, 2, 0, *model, 300.0, shape)
+        with pytest.raises(ValueError):
+            rate_at_order(6, 0, 0, *model, 300.0, shape)
 
 
 class TestAmplitudeProperties:
     @given(lam=st.floats(0.1, 16.0))
-    @settings(max_examples=25)
+    @settings(max_examples=25, deadline=None)
     def test_power_scaling(self, lam):
         model = generate_model(ModelSpec(seed=5, n_states=3, n_modes=5))
-        system, bath, cpl = model
-        scaled = with_coupling_scale(model, lam).couplings
-        a2 = amp2(1, 0, 0, 3, ABSORB, system, bath, cpl, eta=1.0)
-        a2s = amp2(1, 0, 0, 3, ABSORB, system, bath, scaled, eta=1.0)
-        assert a2s == pytest.approx(lam**2 * a2, rel=1e-14)
-        a3 = amp3(2, 0, (0, 3, 4), (ABSORB, EMIT), system, bath, cpl, eta=1.0)
-        a3s = amp3(2, 0, (0, 3, 4), (ABSORB, EMIT), system, bath, scaled, eta=1.0)
-        assert a3s == pytest.approx(lam**3 * a3, rel=1e-14)
+        shape = Lineshape()
+        for order in (4, 6):
+            base = rate_at_order(order, 1, 0, *model, 300.0, shape)
+            scaled = rate_at_order(order, 1, 0, *with_coupling_scale(model, lam),
+                                   300.0, shape)
+            assert base.total > 0.0
+            for pattern, value in base.per_channel.items():
+                assert scaled.per_channel[pattern] == pytest.approx(
+                    lam**order * value, rel=1e-14)
 
-    def test_linearity_in_each_matrix(self):
+    def test_linearity_in_each_matrix(self, shape):
+        # the amplitude is linear in each coupling matrix, so doubling all
+        # of them multiplies an order-2k rate by exactly 2**(2k)
         rng = np.random.default_rng(9)
-        system = SpinSystem([0.0, 4.0, 33.0])
-        bath = PhononBath([12.0, 55.0])
-        mats = hermitian(rng, 2, 3)
-        cpl = CouplingSet(mats)
-        doubled = CouplingSet(np.stack([2.0 * mats[0], mats[1]]))
-        a = amp2(1, 0, 0, 1, EMIT, system, bath, cpl, eta=1.0)
-        d = amp2(1, 0, 0, 1, EMIT, system, bath, doubled, eta=1.0)
-        assert d == pytest.approx(2.0 * a, rel=1e-14)
+        mats = hermitian(rng, 6, 3)
+        system, bath = SpinSystem([0.0, 4.0, 33.0]), PhononBath(
+            [12.0, 25.0, 40.0, 55.0, 70.0, 90.0])
+        plain = Model(system, bath, CouplingSet(mats))
+        doubled = Model(system, bath, CouplingSet(2.0 * mats))
+        for order in (2, 4, 6):
+            for b, a in ((1, 0), (0, 2)):
+                base = rate_at_order(order, b, a, *plain, 300.0, shape)
+                twice = rate_at_order(order, b, a, *doubled, 300.0, shape)
+                assert base.total > 0.0
+                for pattern, value in base.per_channel.items():
+                    assert twice.per_channel[pattern] == 2.0**order * value
 
-    def test_near_resonant_denominator_warns(self):
-        from spinphonon import NearResonantDenominatorWarning
-
-        # E_c - E_a - omega lands within eta/10 of zero
-        system = SpinSystem([0.0, 10.0, 50.0])
-        bath = PhononBath([49.99, 60.0])
-        rng = np.random.default_rng(1)
-        cpl = CouplingSet(hermitian(rng, 2, 3))
-        with pytest.warns(NearResonantDenominatorWarning):
-            amp2(1, 0, 1, 0, ABSORB, system, bath, cpl, eta=1.0)
-
-    def test_eta_continuity(self):
-        model = generate_model(ModelSpec(seed=13, n_states=3, n_modes=4))
-        system, bath, cpl = model
+    def test_eta_continuity(self, shape):
+        model = close_levels_model(13, 3, 4)
         values = [
-            amp3(1, 0, (0, 1, 2), (ABSORB, EMIT), system, bath, cpl, eta=eta)
+            rate_at_order(6, 1, 0, *model, 300.0,
+                          Lineshape(sigma=shape.sigma, eta=eta)).total
             for eta in (1e-2, 1e-4, 1e-6, 1e-8)
         ]
+        assert values[-1] > 0.0
         diffs = [abs(values[i + 1] - values[i]) for i in range(len(values) - 1)]
         assert diffs[1] < diffs[0]
         assert diffs[2] < diffs[1]
         # converged limit: successive values agree ever more tightly
         assert abs(values[-1] - values[-2]) <= 1e-6 * abs(values[-1])
 
-    def test_exchange_invariance(self):
-        # the symmetrized two-phonon amplitude does not care which mode of
-        # the pair is listed first, as long as signs move with the modes
-        model = generate_model(ModelSpec(seed=17, n_states=3, n_modes=6))
-        system, bath, cpl = model
-        eta = 1.0
-        alpha, beta = 1, 4
-        b, a = 2, 0
-        full_1 = amp2(b, a, beta, alpha, ABSORB, system, bath, cpl, eta) + amp2(
-            b, a, alpha, beta, EMIT, system, bath, cpl, eta
-        )
-        full_2 = amp2(b, a, alpha, beta, EMIT, system, bath, cpl, eta) + amp2(
-            b, a, beta, alpha, ABSORB, system, bath, cpl, eta
-        )
-        assert full_1 == pytest.approx(full_2, rel=1e-14)
+    def test_exchange_invariance(self, shape):
+        # Modes 0 and 1 share one frequency, so exchanging their couplings
+        # relabels the modes: a tuple holding both moves from the channel
+        # (s, s', ...) to (s', s, ...). The amplitude sums over every ordering
+        # of a tuple, so channels with s = s' and the sum of each mixed pair
+        # do not change, although V^0 and V^1 do not commute.
+        rng = np.random.default_rng(17)
+        mats = hermitian(rng, 5, 3)
+        system = SpinSystem([0.0, 5.0, 35.0])
+        bath = PhononBath([40.0, 40.0, 70.0, 95.0, 120.0])
+        model = Model(system, bath, CouplingSet(mats))
+        swapped = Model(system, bath, CouplingSet(mats[[1, 0, 2, 3, 4]]))
+        for order in (4, 6):
+            for b, a in ((1, 0), (2, 1), (0, 2)):
+                one = rate_at_order(order, b, a, *model, 300.0, shape).per_channel
+                other = rate_at_order(order, b, a, *swapped, 300.0, shape).per_channel
+                assert sum(one.values()) > 0.0
+                for pattern in one:
+                    s = pattern.signs
+                    mirror = SignPattern((s[1], s[0]) + s[2:])
+                    assert other[pattern] + other[mirror] == pytest.approx(
+                        one[pattern] + one[mirror], rel=1e-13)

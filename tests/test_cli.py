@@ -204,7 +204,7 @@ class TestInputValidation:
         assert captured.out == ""
         assert "finite" in captured.err
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     @pytest.mark.parametrize("command", [
         ["t1"],
         ["sweep-temp", "--grid", "100:300:3"],
@@ -216,6 +216,15 @@ class TestInputValidation:
         code = run_cli([*command, "--input", str(model), "--threads", threads])
         assert code == 1
         assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_oracle_check_rejects_bad_threads(self, capsys, threads):
+        code = run_cli(["oracle-check", "--seed", "3", "--n-modes", "5",
+                        "--threads", threads])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threads" in captured.err
 
 
 class TestChannelColumns:

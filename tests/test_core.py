@@ -109,6 +109,19 @@ class TestLineshape:
         )
         assert integral == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("kind, kept", [
+        ("gaussian", lambda w: math.erf(w / math.sqrt(2.0))),
+        ("lorentzian", lambda w: 2.0 / math.pi * math.atan(w)),
+    ])
+    @pytest.mark.parametrize("window", [2.0, 6.0])
+    def test_window_keeps_the_closed_form_weight(self, kind, kept, window):
+        # the window cuts the tails without renormalizing: at the default
+        # window 6 the Lorentzian keeps only about 89.5 % of its weight
+        shape = Lineshape(kind=kind, sigma=10.0, window=window)
+        integral, _ = quad(lambda d: lineshape_weight(d, shape), -shape.halfwidth,
+                           shape.halfwidth, limit=200)
+        assert integral == pytest.approx(kept(window), rel=1e-9)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Lineshape(kind="boxcar")

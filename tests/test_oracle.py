@@ -11,6 +11,7 @@ from spinphonon import (
     naive_rate_three_phonon,
     naive_rate_two_phonon,
     rate_three_phonon,
+    relative_deviation,
     rate_two_phonon,
 )
 
@@ -133,3 +134,10 @@ class TestNaiveRates:
         )
         expected = 2.0 * math.pi * abs(amp) ** 2 * weight * CM_TO_RATE_S
         assert bd.channel("-+") == pytest.approx(expected, rel=1e-12)
+
+
+def test_relative_deviation():
+    assert relative_deviation(0.0, 0.0) == 0.0
+    assert relative_deviation(2.0, 0.0) == 1.0
+    assert relative_deviation(3.0, 4.0) == relative_deviation(4.0, 3.0) == 0.25
+    assert relative_deviation(-1.0, 1.0) == 2.0

@@ -27,7 +27,7 @@ from spinphonon import (
     sweep_temperature,
     with_coupling_scale,
 )
-from spinphonon import dynamics, rates, sweeps
+from spinphonon import dynamics, sweeps
 from spinphonon.dynamics import RateGenerator
 
 from conftest import max_channel_dev
@@ -44,32 +44,44 @@ def t1_of(matrix, order):
     return extract_t1(RateGenerator(matrix=matrix, orders=(order,)))
 
 
+def swept_in_pieces(sweep, grid, pieces):
+    """T1 per order over ``grid``, swept as ``pieces`` consecutive slices and
+    joined: a point must not depend on which other points share its call."""
+    parts = [sweep(part) for part in np.array_split(np.asarray(grid), pieces)]
+    return {k: np.concatenate([p.t1_per_order[k] for p in parts])
+            for k in parts[0].t1_per_order}
+
+
 class TestSweepsEqualPerPointEvaluation:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_temperature_sweep_is_bit_identical(self, shape, small_model, threads):
+    @pytest.mark.parametrize("pieces", [1, 2])
+    def test_temperature_sweep_is_bit_identical(self, shape, small_model, pieces):
         temps = [40.0, 150.0, 300.0, 700.0]
-        series = sweep_temperature(small_model, temps, (2, 4, 6), shape, threads)
+        t1 = swept_in_pieces(
+            lambda grid: sweep_temperature(small_model, grid, (2, 4, 6), shape),
+            temps, pieces)
         for i, t in enumerate(temps):
             mats = order_generator_matrices(small_model, t, shape, (2, 4, 6))
             for k in (2, 4, 6):
-                assert series.t1_per_order[k][i] == t1_of(mats[k], k)
+                assert t1[k][i] == t1_of(mats[k], k)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_lambda_sweep_is_bit_identical(self, shape, small_model, threads):
+    @pytest.mark.parametrize("pieces", [1, 2])
+    def test_lambda_sweep_is_bit_identical(self, shape, small_model, pieces):
         lams = [0.3, 1.0, 2.5, 11.0]
-        series = sweep_lambda(small_model, lams, (2, 4, 6), 250.0, shape, threads)
+        t1 = swept_in_pieces(
+            lambda grid: sweep_lambda(small_model, grid, (2, 4, 6), 250.0, shape),
+            lams, pieces)
         for i, lam in enumerate(lams):
             scaled = with_coupling_scale(small_model, lam)
             mats = order_generator_matrices(scaled, 250.0, shape, (2, 4, 6))
             for k in (2, 4, 6):
-                assert series.t1_per_order[k][i] == t1_of(mats[k], k)
+                assert t1[k][i] == t1_of(mats[k], k)
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_cutoff_sweep_matches_restricted_baths(self, shape, small_model, order):
         freqs = small_model.bath.frequencies
         cutoffs = [freqs[0] / 2.0, freqs[3], 0.5 * (freqs[6] + freqs[7]), freqs[-1],
                    freqs[-1] + 40.0]
-        series = sweep_cutoff(small_model, cutoffs, order, 300.0, shape, threads=2)
+        series = sweep_cutoff(small_model, cutoffs, order, 300.0, shape)
         for omega_c, value in zip(cutoffs, series.t1_per_order[order]):
             sub = restrict_bath(small_model, omega_c)
             if sub.bath.n_modes == 0:
@@ -206,49 +218,6 @@ class TestPointValidation:
     def test_threads_below_one_rejected(self, shape, small_model, order, threads):
         with pytest.raises(ValueError, match="threads"):
             rate_at_order(order, 1, 0, *small_model, 300.0, shape, threads=threads)
-
-
-class TestThreadPoolCap:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        sizes = []
-
-        class RecordingExecutor:
-            """Runs tasks inline and records the pool size it was asked for."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(rates, "ThreadPoolExecutor", RecordingExecutor)
-        return sizes
-
-    @staticmethod
-    def count_task(lo, hi):
-        return np.array([float(hi - lo)]), np.inf
-
-    @pytest.mark.parametrize("cpus, chunks, threads, expected", [
-        (16, 3, 1000, [3]),
-        (2, 3, 1000, [2]),
-        (16, 5, 4, [4]),
-        (None, 3, 8, []),
-        (16, 1, 8, []),
-        (16, 3, 1, []),
-    ])
-    def test_workers_capped(self, monkeypatch, pools, cpus, chunks, threads, expected):
-        monkeypatch.setattr(rates.os, "cpu_count", lambda: cpus)
-        n = chunks * rates.CHUNK - 7
-        total, _ = rates._reduce_chunks(self.count_task, n, threads)
-        assert pools == expected
-        assert total.tolist() == [float(n)]
 
 
 def test_lorentzian_temperature_points_equal_one_point_calls():

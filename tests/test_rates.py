@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -289,6 +290,20 @@ class TestRateProperties:
         for pattern in pair_ref.per_channel:
             assert pair_thr.per_channel[pattern] == pair_ref.per_channel[pattern]
 
+    def test_kernels_run_on_the_calling_thread(self, shape, small_model, monkeypatch):
+        from spinphonon import rate_at_order, rates
+
+        # many chunks per channel, and any thread a kernel starts fails
+        monkeypatch.setattr(rates, "CHUNK", 16)
+
+        def refuse(thread):
+            raise AssertionError("a rate kernel started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for order in (2, 4, 6):
+            bd = rate_at_order(order, 1, 0, *small_model, 300.0, shape, threads=8)
+            assert bd.total > 0.0
+
     def test_monotone_cutoff_accumulation(self, shape, small_model):
         cutoffs = np.linspace(30.0, 220.0, 8)
         previous = -1.0
@@ -316,7 +331,7 @@ class TestEveryTransition:
     def test_matches_oracle_and_threads(self, shape, monkeypatch, seed, n_states):
         from spinphonon import rate_at_order, rates
 
-        # small chunks, so that two threads split each channel between them
+        # small chunks, so that each channel is reduced over many chunks
         monkeypatch.setattr(rates, "CHUNK", 16)
         # closely spaced levels: every transition has surviving tuples
         model = generate_model(ModelSpec(seed=seed, n_states=n_states, n_modes=10,
