@@ -20,7 +20,6 @@ from .core import (
     PhononBath,
     SignPattern,
     SpinSystem,
-    ThermalState,
     bose_occupation,
     channel_weight,
     lineshape_weight,

@@ -179,17 +179,6 @@ class Lineshape:
 
 
 @dataclass(frozen=True)
-class ThermalState:
-    """Bath temperature in kelvin, strictly positive."""
-
-    temperature: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError("temperature must be finite and positive")
-
-
-@dataclass(frozen=True)
 class SignPattern:
     """Absorb/emit assignment for each phonon of a 1-, 2-, or 3-phonon process.
 

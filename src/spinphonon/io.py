@@ -183,10 +183,3 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
             raise ValueError("every row must match the header width")
         lines.append(",".join(format_number(float(x)) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(
-    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[float]]
-) -> None:
-    """Write a result table to a file; see render_csv for the format."""
-    Path(path).write_text(render_csv(header, rows))

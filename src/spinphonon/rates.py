@@ -12,9 +12,13 @@ has the same shape: a sum over mode tuples of three factors.
 The coupling scale multiplies the finished channel sum as the exact factor
 lambda**order. The one-phonon sum runs over every mode; the two- and
 three-phonon sums run over index-ordered pairs and triples pruned with the
-windowed lineshape: only combinations whose energy mismatch lies inside
-window * sigma can contribute, and the admissible last index is located by
-binary search on the sorted mode frequencies.
+windowed lineshape, since only tuples whose energy mismatch lies inside
+window * sigma can contribute. One pruner serves both orders: it locates
+the admissible last index by binary search on the sorted mode frequencies
+and keeps the candidates whose exact mismatch, folded left to right as the
+chunk weights fold it, lies inside the window. Candidates are filtered a
+block of first indices at a time, straight into the output, so pruning
+holds the output plus one block.
 
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
@@ -47,6 +51,8 @@ and three n-term dots, with no division.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -73,9 +79,16 @@ from .core import (
 #: depend on this value.
 CHUNK = 4096
 
+#: Pruning filters the last phonon's candidates for this many first indices
+#: at a time. Its working arrays grow with the block, and so does the peak
+#: memory of a T1 run.
+_BLOCK = 4
+
 _PERMS2 = ((0, 1), (1, 0))
 
 _TWO_PI = 2.0 * np.pi
+
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 class TripleIndex(NamedTuple):
@@ -168,103 +181,61 @@ def _bose_product(
 # pruning
 
 
-def _expand_windows(
-    base: np.ndarray,
-    partner_index: np.ndarray,
-    start: np.ndarray,
-    stop: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-row [start, stop) index windows into flat (row, col) pairs."""
+def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray]:
+    """Flat int32 (row, index) pairs for every index in [start[row], stop[row]),
+    row by row; ``stop`` may be one bound for every row."""
     counts = np.maximum(stop - start, 0)
-    keep = counts > 0
-    if not np.any(keep):
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    starts = start[keep]
-    cnts = counts[keep]
-    rows = np.repeat(partner_index[keep], cnts)
-    offsets = np.arange(cnts.sum(), dtype=np.int64) - np.repeat(
-        np.cumsum(cnts) - cnts, cnts
-    )
-    cols = np.repeat(starts, cnts) + offsets
-    return rows, cols
+    rows = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    index = np.repeat((start - (np.cumsum(counts) - counts)).astype(np.int32), counts)
+    index += np.arange(rows.size, dtype=np.int32)
+    return rows, index
 
 
-def _prune_pairs(
-    omega_ba: float, pattern: SignPattern, bath: PhononBath, shape: Lineshape
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j whose mismatch |omega_ba + s_i w_i + s_j w_j| <= window."""
-    freqs = bath.frequencies
+def _prune(
+    order: int,
+    omega_ba: float,
+    pattern: SignPattern,
+    bath: PhononBath,
+    shape: Lineshape,
+) -> tuple[np.ndarray, ...]:
+    """Surviving tuples of one channel as one index array per phonon.
+
+    The tuples are strictly index-ordered, in lexicographic order, with
+    |((omega_ba + s0 w_i) + s1 w_j) + s2 w_k| <= window * sigma. Each inner
+    phonon extends every prefix by every later index; the last phonon's
+    candidates are filtered _BLOCK first indices at a time into arrays
+    sized for every candidate.
+    """
     m = bath.n_modes
-    empty = np.zeros(0, dtype=np.int64)
-    if m < 2:
-        return empty, empty
-    s0, s1 = pattern.signs
-    half = shape.halfwidth
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    for i in range(m - 1):
-        base = omega_ba + s0 * freqs[i]
-        # admissible s1 * w_j lies in [-half - base, half - base]
-        if s1 == EMIT:
-            lo, hi = -half - base, half - base
-        else:
-            lo, hi = base - half, base + half
-        j0 = int(np.searchsorted(freqs, lo, side="left"))
-        j1 = int(np.searchsorted(freqs, hi, side="right"))
-        j0 = max(j0, i + 1)
-        if j0 >= j1:
-            continue
-        js = np.arange(j0, j1, dtype=np.int64)
-        mismatch = base + s1 * freqs[js]
-        js = js[np.abs(mismatch) <= half]
-        if js.size:
-            out_i.append(np.full(js.size, i, dtype=np.int64))
-            out_j.append(js)
-    if not out_i:
-        return empty, empty
-    return np.concatenate(out_i), np.concatenate(out_j)
-
-
-def _prune_triples_arrays(
-    omega_ba: float, pattern: SignPattern, bath: PhononBath, shape: Lineshape
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Surviving triples as three int32 index arrays, lexicographically ordered."""
+    if order == 2:
+        # the one-phonon sum is not pruned: it runs over every mode
+        return (np.arange(m, dtype=np.int64),)
     freqs = bath.frequencies
-    m = bath.n_modes
-    empty = np.zeros(0, dtype=np.int32)
-    if m < 3:
-        return empty, empty, empty
-    s0, s1, s2 = pattern.signs
+    signs = pattern.signs
     half = shape.halfwidth
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    out_g: list[np.ndarray] = []
-    for i in range(m - 2):
-        base = omega_ba + s0 * freqs[i]
-        js = np.arange(i + 1, m - 1, dtype=np.int64)
-        partial = base + s1 * freqs[js]
-        if s2 == EMIT:
-            lo, hi = -half - partial, half - partial
-        else:
-            lo, hi = partial - half, partial + half
-        g0 = np.searchsorted(freqs, lo, side="left")
-        g1 = np.searchsorted(freqs, hi, side="right")
-        g0 = np.maximum(g0, js + 1)
-        rows, gammas = _expand_windows(partial, js, g0, g1)
-        if not rows.size:
-            continue
-        # rows holds the j index; recompute the mismatch with the exact
-        # left-fold association used by the scalar channel weight
-        mismatch = (base + s1 * freqs[rows]) + s2 * freqs[gammas]
-        keep = np.abs(mismatch) <= half
-        if np.any(keep):
-            out_a.append(np.full(np.count_nonzero(keep), i, dtype=np.int32))
-            out_b.append(rows[keep].astype(np.int32))
-            out_g.append(gammas[keep].astype(np.int32))
-    if not out_a:
-        return empty, empty, empty
-    return np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_g)
+    prefix = [np.arange(m, dtype=np.int32)]
+    mismatch = omega_ba + signs[0] * freqs
+    for s in signs[1:-1]:
+        rows, nxt = _expand(prefix[-1] + 1, m)
+        prefix = [ix[rows] for ix in prefix] + [nxt]
+        mismatch = mismatch[rows] + s * freqs[nxt]
+    # the admissible s * w_last lies in [-half - mismatch, half - mismatch]
+    s = signs[-1]
+    lo, hi = (-half - mismatch, half - mismatch) if s == EMIT else (
+        mismatch - half, mismatch + half)
+    start = np.maximum(np.searchsorted(freqs, lo, side="left"), prefix[-1] + 1)
+    stop = np.searchsorted(freqs, hi, side="right")
+    out = [np.empty(np.maximum(stop - start, 0).sum(), dtype=np.int32) for _ in signs]
+    n = 0
+    blocks = np.searchsorted(prefix[0], np.arange(0, m + _BLOCK, _BLOCK))
+    for p0, p1 in zip(blocks[:-1], blocks[1:]):
+        rows, last = _expand(start[p0:p1], stop[p0:p1])
+        keep = np.abs(mismatch[p0:p1][rows] + s * freqs[last]) <= half
+        rows = rows[keep] + p0
+        for dst, ix in zip(out, [ix[rows] for ix in prefix] + [last[keep]]):
+            dst[n:n + rows.size] = ix
+        n += rows.size
+    return tuple(dst[:n] for dst in out)
 
 
 def prune_triples(
@@ -279,24 +250,8 @@ def prune_triples(
     """
     if len(pattern) != 3:
         raise ValueError("triple pruning requires a three-phonon sign pattern")
-    ai, bi, gi = _prune_triples_arrays(omega_ba, pattern, bath, shape)
+    ai, bi, gi = _prune(6, omega_ba, pattern, bath, shape)
     return [TripleIndex(int(x), int(y), int(z)) for x, y, z in zip(ai, bi, gi)]
-
-
-def _prune(
-    order: int,
-    omega_ba: float,
-    pattern: SignPattern,
-    bath: PhononBath,
-    shape: Lineshape,
-) -> tuple[np.ndarray, ...]:
-    """Surviving tuples of one channel as one index array per phonon."""
-    if order == 2:
-        # the one-phonon sum is not pruned: it runs over every mode
-        return (np.arange(bath.n_modes, dtype=np.int64),)
-    if order == 4:
-        return _prune_pairs(omega_ba, pattern, bath, shape)
-    return _prune_triples_arrays(omega_ba, pattern, bath, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +379,16 @@ _PHONONS = {4: "two", 6: "three"}
 # rates at many points
 
 
+def _caller_stacklevel() -> int:
+    """Stacklevel, for a warning raised by this function's caller, of the
+    first frame outside the package, so the warning names the user's line."""
+    level, frame = 1, sys._getframe(1)
+    while frame and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        level += 1
+        frame = frame.f_back
+    return level
+
+
 def _check_points(
     temperatures: np.ndarray,
     mode_limits: Sequence[int] | None,
@@ -537,7 +502,7 @@ def _rate_points(
             f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of zero "
             f"(|x| = {min_abs_all:.3e} cm^-1)",
             NearResonantDenominatorWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
     per_point = [{p: float(s[k]) for p, s in sums.items()} for k in range(n_sums)]
     if scales is None:

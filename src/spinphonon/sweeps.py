@@ -13,7 +13,7 @@ rates coincide, is the closed form sqrt(r4 / r6) of the rates at scale 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ class SweepSeries:
 
     axis: np.ndarray
     t1_per_order: dict[int, np.ndarray]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ax = _axis(self.axis)
@@ -77,14 +76,6 @@ def _t1_per_point(matrices: np.ndarray, order: int) -> np.ndarray:
     )
 
 
-def _model_tag(model: Model) -> dict:
-    return {
-        "n_states": model.system.n_states,
-        "n_modes": model.bath.n_modes,
-        "coupling_scale": model.couplings.scale,
-    }
-
-
 def sweep_temperature(
     model: Model,
     temperatures: Sequence[float],
@@ -103,8 +94,6 @@ def sweep_temperature(
     return SweepSeries(
         axis=temps,
         t1_per_order={k: _t1_per_point(mats[k], k) for k in orders},
-        metadata={"sweep": "temperature", "sigma": shape.sigma, "eta": shape.eta,
-                  "orders": orders, "model": _model_tag(model)},
     )
 
 
@@ -133,9 +122,6 @@ def sweep_cutoff(
     return SweepSeries(
         axis=cuts,
         t1_per_order={order: _t1_per_point(mats[order], order)},
-        metadata={"sweep": "cutoff", "sigma": shape.sigma, "eta": shape.eta,
-                  "orders": (order,), "temperature": temperature,
-                  "model": _model_tag(model)},
     )
 
 
@@ -159,9 +145,6 @@ def sweep_lambda(
     return SweepSeries(
         axis=lams,
         t1_per_order={k: _t1_per_point(mats[k], k) for k in orders},
-        metadata={"sweep": "lambda", "sigma": shape.sigma, "eta": shape.eta,
-                  "orders": orders, "temperature": temperature,
-                  "model": _model_tag(model)},
     )
 
 

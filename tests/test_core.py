@@ -16,7 +16,6 @@ from spinphonon import (
     PhononBath,
     SignPattern,
     SpinSystem,
-    ThermalState,
     bose_occupation,
     channel_weight,
     lineshape_weight,
@@ -233,11 +232,6 @@ class TestContainers:
         mat = np.zeros((1, 2, 2), dtype=complex)
         with pytest.raises(ValueError):
             CouplingSet(mat, scale=0.0)
-
-    def test_thermal_state(self):
-        assert ThermalState(1.5).temperature == 1.5
-        with pytest.raises(ValueError):
-            ThermalState(0.0)
 
     def test_arrays_are_read_only(self):
         sys = SpinSystem([0.0, 1.0])

@@ -18,6 +18,7 @@ from spinphonon import (
     PhononBath,
     SignPattern,
     SpinSystem,
+    assemble_generator,
     bose_occupation,
     generate_model,
     lineshape_weight,
@@ -29,6 +30,7 @@ from spinphonon import (
     rate_two_phonon,
     restrict_bath,
     sign_patterns,
+    sweep_temperature,
     with_coupling_scale,
 )
 from spinphonon.rates import TripleIndex
@@ -164,21 +166,39 @@ class TestPruneTriples:
             assert prune_triples(0.123, pattern, bath, shape) == []
 
     def test_matches_brute_force_on_random_bath(self):
+        from spinphonon import rates
+
         rng = np.random.default_rng(77)
-        bath = PhononBath(np.sort(rng.uniform(10.0, 400.0, size=50)))
+        baths = [
+            np.sort(rng.uniform(10.0, 400.0, size=50)),
+            # several prune blocks and a partial last one
+            np.sort(rng.uniform(10.0, 400.0, size=2 * rates._BLOCK + 5)),
+            # degenerate frequencies; integers put some mismatches exactly on
+            # the window edge
+            np.array([20.0, 20.0, 20.0, 50.0, 55.0, 57.0, 62.0, 62.0, 100.0, 100.0,
+                      104.0]),
+            np.zeros(0),
+            np.array([60.0]),
+            np.array([60.0, 95.0]),
+        ]
         shape = Lineshape(sigma=7.0)
-        freqs = bath.frequencies
-        for omega_ba in (-120.0, 0.4, 35.0):
-            for pattern in sign_patterns(3):
-                got = prune_triples(omega_ba, pattern, bath, shape)
+        for freqs, order, omega_ba in itertools.product(
+                baths, (4, 6), (-120.0, 0.4, 35.0)):
+            bath = PhononBath(freqs)
+            for pattern in sign_patterns(order // 2):
+                got = rates._prune(order, omega_ba, pattern, bath, shape)
                 expected = []
-                for i, j, k in itertools.combinations(range(50), 3):
+                for tup in itertools.combinations(range(freqs.size), order // 2):
                     arg = omega_ba
-                    for s, w in zip(pattern.signs, (freqs[i], freqs[j], freqs[k])):
-                        arg += s * w
+                    for s, k in zip(pattern.signs, tup):
+                        arg += s * freqs[k]
                     if abs(arg) <= shape.halfwidth:
-                        expected.append(TripleIndex(i, j, k))
-                assert got == expected
+                        expected.append(tup)
+                assert list(zip(*(ix.tolist() for ix in got))) == expected, (
+                    freqs.size, order, omega_ba, pattern.label)
+                if order == 6:
+                    assert prune_triples(omega_ba, pattern, bath, shape) == [
+                        TripleIndex(*t) for t in expected]
 
     def test_strict_ordering(self):
         bath = PhononBath([10.0, 20.0, 30.0, 40.0])
@@ -380,6 +400,19 @@ class TestNearResonantWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", NearResonantDenominatorWarning)
             fn(1, 0, *model, 300.0, Lineshape(eta=0.2))
+
+    @pytest.mark.parametrize("call", [
+        lambda model: rate_three_phonon(1, 0, *model, 300.0, Lineshape(eta=1.0)),
+        lambda model: assemble_generator(model, 300.0, Lineshape(eta=1.0), (6,)),
+        lambda model: sweep_temperature(model, [300.0], (6,), Lineshape(eta=1.0)),
+    ], ids=["rate_three_phonon", "assemble_generator", "sweep_temperature"])
+    def test_names_the_callers_line(self, call):
+        from spinphonon import NearResonantDenominatorWarning
+
+        model = self.model((30.0, 40.0, self.RESONANT))
+        with pytest.warns(NearResonantDenominatorWarning) as record:
+            call(model)
+        assert {w.filename for w in record} == {__file__}
 
 
 class TestPairTables:
