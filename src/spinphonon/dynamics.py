@@ -45,6 +45,8 @@ class RateGenerator:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError("generator must be a square matrix of size >= 2")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("generator entries must be finite: the rates overflowed")
         off = m.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0.0):

@@ -33,15 +33,15 @@ Before its chunk loop, a call of one transition b <- a tabulates what depends
 on single modes or mode pairs. For each sign s = +-1 it forms the propagated
 vectors R_s[r] = V^r[:, a] / (E - E_a + s w_r + i eta). At sixth order the
 orderings (p, q, r) and (p, r, q) of a triple share the outer denominator
-D(q, r) = E - E_a + s_q w_q + s_r w_r + i eta, so for each sign pair it folds
-both inner contractions sum_d V^q[:, d] R_{s_r}[r]_d and
-sum_d V^r[:, d] R_{s_q}[q]_d of a mode pair q < r over D(q, r) into one pair
-table. The equal-sign tables are symmetric and keep only their upper
-triangle; of the mixed-sign pair only (+, -) is stored, and (-, +) reads it
-transposed. With M modes and n states that is 2 M n + (2 M^2 - M) n complex
-numbers (about 5.8 MB at M = 300, n = 2, 11.5 MB at n = 4), plus the
-smallest |Re D| of each pair and sign pair as 2 M^2 - M reals (1.4 MB at
-M = 300), shared read-only by all chunks.
+D(q, r) = E - E_a + s_q w_q + s_r w_r + i eta, so for each of the four sign
+pairs (s_q, s_r) it folds both inner contractions sum_d V^q[:, d] R_{s_r}[r]_d
+and sum_d V^r[:, d] R_{s_q}[q]_d of a mode pair q < r over D(q, r) into one
+pair table, stored as a packed strict upper triangle. Each table entry
+carries the smallest |real denominator| of everything it contains: its own
+|Re D| and those of R_{s_q}[q] and R_{s_r}[r]. With M modes and n states
+that is 2 M n + (2 M^2 - 2 M) n complex numbers (about 5.8 MB at M = 300,
+n = 2, 11.5 MB at n = 4), plus 2 M^2 reals of minima (1.4 MB at M = 300),
+shared read-only by all chunks.
 These source tables depend on a and the order, not on b, so the generator
 builds them once per source state. An ordering of a pair then costs one
 gather and an n-term dot; a triple costs three gathers from the pair tables
@@ -120,10 +120,14 @@ def _breakdown(
     order: int, sums: dict[SignPattern, float], scale: float
 ) -> RateBreakdown:
     """Scale-free channel sums (cm^-1) to rates in s^-1 at one coupling scale."""
+    try:
+        factor = math.pow(scale, order)
+    except OverflowError:
+        raise ValueError(f"coupling scale {scale:g} overflows at order {order}") from None
     total = 0.0
     ordered = {}
     for pattern in sign_patterns(order // 2):
-        v = _TWO_PI * sums[pattern] * scale**order * CM_TO_RATE_S
+        v = _TWO_PI * sums[pattern] * factor * CM_TO_RATE_S
         ordered[pattern] = v
         total += v
     return RateBreakdown(order=order, per_channel=ordered, total=total)
@@ -258,11 +262,6 @@ def prune_triples(
 # amplitudes: |A|^2 and the smallest |real denominator| of one chunk
 
 
-#: Key of the one table stored for mixed signs; (ABSORB, EMIT) reads it transposed.
-_MIXED = (EMIT, ABSORB)
-_PAIR_KEYS = ((EMIT, EMIT), (ABSORB, ABSORB), _MIXED)
-
-
 class _Tables(NamedTuple):
     """Tables of one transition b <- a, shared read-only by all chunks.
 
@@ -274,23 +273,18 @@ class _Tables(NamedTuple):
     """
 
     # source part
-    #: s -> [d, r] = V[r, d, a] / (E_d - E_a + s w_r + i eta), n x M
-    right: dict[int, np.ndarray]
-    #: s -> min over d of |E_d - E_a + s w_r|, length M
-    right_min: dict[int, np.ndarray]
-    #: order 6 only: (s_q, s_r) -> [c, pair(q, r)] =
-    #: (inner_{s_r}[c; q, r] + inner_{s_q}[c; r, q]) / D_c(q, r), with
-    #: inner_s[c; q, r] = sum_d V[q, c, d] right[s][d, r] and the outer
-    #: denominator D_c(q, r) = E_c - E_a + (s_q w_q + s_r w_r) + i eta.
-    #: Equal signs give a symmetric table, stored as its strict upper
-    #: triangle (n x M(M-1)/2, column tri_row[q] + r for q < r); mixed signs
-    #: store _MIXED in full (n x M^2, column q M + r), and (ABSORB, EMIT)
-    #: reads it at (r, q). q M + r fits in int32 for any M whose table fits
-    #: in memory.
-    pairs: dict[tuple[int, int], np.ndarray]
-    #: order 6 only: (s_q, s_r) -> min over c of |Re D_c(q, r)|, laid out as pairs
-    pair_min: dict[tuple[int, int], np.ndarray]
-    #: order 6 only: column of the packed pair (q, r) is tri_row[q] + r, length M
+    #: keyed by the signs of the modes after the first:
+    #: (s,) -> [d, r] = V[r, d, a] / (E_d - E_a + s w_r + i eta), n x M;
+    #: order 6 only, (s_q, s_r) -> [c, tri_row[q] + r] for q < r =
+    #: (inner_{s_r}[c; q, r] + inner_{s_q}[c; r, q]) / D_c(q, r), n x M(M-1)/2,
+    #: with inner_s[c; q, r] = sum_d V[q, c, d] tables[s,][d, r] and
+    #: D_c(q, r) = E_c - E_a + (s_q w_q + s_r w_r) + i eta
+    tables: dict[tuple[int, ...], np.ndarray]
+    #: same keys -> smallest |real denominator| per column: min over d of
+    #: |E_d - E_a + s w_r| for (s,); for (s_q, s_r) min over c of
+    #: |Re D_c(q, r)|, folded with the (s_q,) minimum at q and (s_r,) at r
+    mins: dict[tuple[int, ...], np.ndarray]
+    #: order 6 only: column of the pair (q, r) is tri_row[q] + r, length M
     tri_row: np.ndarray | None
     # destination part
     v_ba: np.ndarray | None = None  #: V[:, b, a], length M
@@ -303,34 +297,29 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
     in the module docstring. The pair tables are built one state c at a
     time, so the build needs only a few M x M blocks beyond its output."""
     m, n = v.shape[:2]
-    right, right_min, pairs, pair_min = {}, {}, {}, {}
+    tables, mins = {}, {}
     tri_row = None
     if order > 2:
         for s in (EMIT, ABSORB):
             real = np.add.outer(d_e, s * freqs)
-            right_min[s] = np.min(np.abs(real), axis=0)
-            right[s] = v[:, :, a].T / (real + 1j * eta)
+            mins[s,] = np.min(np.abs(real), axis=0)
+            tables[s,] = v[:, :, a].T / (real + 1j * eta)
     if order == 6:
-        upper = np.triu_indices(m, 1)
+        q, r = np.triu_indices(m, 1)
         rows = np.arange(m)
         tri_row = (rows * (m - 1) - rows * (rows - 1) // 2 - rows - 1).astype(np.int32)
-        for key in _PAIR_KEYS:
-            size = upper[0].size if key[0] == key[1] else m * m
-            pairs[key] = np.empty((n, size), dtype=complex)
-            pair_min[key] = np.full(size, np.inf)
+        pair_keys = [(s_q, s_r) for s_q in (EMIT, ABSORB) for s_r in (EMIT, ABSORB)]
+        for s_q, s_r in pair_keys:
+            tables[s_q, s_r] = np.empty((n, q.size), dtype=complex)
+            mins[s_q, s_r] = np.minimum(mins[s_q,][q], mins[s_r,][r])
         for c in range(n):
-            inner = {s: v[:, c, :] @ right[s] for s in (EMIT, ABSORB)}
-            for key in _PAIR_KEYS:
-                s_q, s_r = key
-                real = d_e[c] + np.add.outer(s_q * freqs, s_r * freqs)
-                num = inner[s_r] + inner[s_q].T
-                if s_q == s_r:
-                    real, num = real[upper], num[upper]
-                else:
-                    real, num = real.ravel(), num.ravel()
-                pairs[key][c] = num / (real + 1j * eta)
-                np.minimum(pair_min[key], np.abs(real), out=pair_min[key])
-    return _Tables(right, right_min, pairs, pair_min, tri_row)
+            inner = {s: v[:, c, :] @ tables[s,] for s in (EMIT, ABSORB)}
+            for s_q, s_r in pair_keys:
+                real = d_e[c] + (s_q * freqs[q] + s_r * freqs[r])
+                num = inner[s_r][q, r] + inner[s_q][r, q]
+                tables[s_q, s_r][c] = num / (real + 1j * eta)
+                np.minimum(mins[s_q, s_r], np.abs(real), out=mins[s_q, s_r])
+    return _Tables(tables, mins, tri_row)
 
 
 def _single_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
@@ -341,31 +330,24 @@ def _pair_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
     amp = np.zeros(sel[0].size, dtype=complex)
     min_abs = np.inf
     for p, q in _PERMS2:
-        min_abs = min(min_abs, float(np.min(tab.right_min[signs[q]][sel[q]])))
+        min_abs = min(min_abs, float(np.min(tab.mins[signs[q],][sel[q]])))
         amp += np.einsum("ct,ct->t", np.take(tab.v_b, sel[p], axis=1),
-                         np.take(tab.right[signs[q]], sel[q], axis=1))
+                         np.take(tab.tables[signs[q],], sel[q], axis=1))
     return amp.real**2 + amp.imag**2, min_abs
-
-
-def _pair_column(tab: _Tables, s_q: int, s_r: int, q: np.ndarray, r: np.ndarray):
-    """Pair-table key and columns of the mode pairs q < r with signs (s_q, s_r)."""
-    if s_q == s_r:
-        return (s_q, s_r), np.take(tab.tri_row, q) + r
-    m = tab.tri_row.size
-    return _MIXED, (q * m + r if s_q == EMIT else r * m + q)
 
 
 def _triple_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
     # Orderings (p, q, r) and (p, r, q) share one pair-table entry, so each
     # first mode p costs one gather from v_b and one from the pair table.
-    min_abs = min(float(np.min(tab.right_min[s][ix])) for s, ix in zip(signs, sel))
+    # Every position is an inner mode of some pair, whose minimum folds it in.
+    min_abs = np.inf
     amp = np.zeros(sel[0].size, dtype=complex)
     for p in range(3):
         q, r = (i for i in range(3) if i != p)
-        key, col = _pair_column(tab, signs[q], signs[r], sel[q], sel[r])
-        min_abs = min(min_abs, float(np.min(np.take(tab.pair_min[key], col))))
+        key, col = (signs[q], signs[r]), np.take(tab.tri_row, sel[q]) + sel[r]
+        min_abs = min(min_abs, float(np.min(np.take(tab.mins[key], col))))
         terms = np.take(tab.v_b, sel[p], axis=1)
-        terms *= np.take(tab.pairs[key], col, axis=1)
+        terms *= np.take(tab.tables[key], col, axis=1)
         amp += terms.sum(axis=0)
     return amp.real**2 + amp.imag**2, min_abs
 

@@ -204,6 +204,29 @@ class TestInputValidation:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    # Bose factors near 1e300 K overflow, so the generator holds inf and NaN
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n_states", [2, 3])
+    @pytest.mark.parametrize("command", [
+        ["t1", "--temp", "1e300"],
+        ["sweep-temp", "--grid", "1e299:1e300:2"],
+    ])
+    def test_overflowing_rates_exit_1(self, tmp_path, capsys, command, n_states):
+        model = gen_model_file(tmp_path, seed=1, n_states=n_states, n_modes=10)
+        assert run_cli([*command, "--input", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflowed" in captured.err
+
+    def test_overflowing_coupling_scale_exits_1(self, tmp_path, capsys):
+        model = gen_model_file(tmp_path, seed=1, n_modes=10)
+        code = run_cli(["sweep-lambda", "--input", str(model),
+                        "--grid", "1:1e200:3:log"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scale" in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     @pytest.mark.parametrize("command", [
         ["t1"],

@@ -57,6 +57,11 @@ class TestRateGenerator:
         with pytest.raises(ValueError, match="columns"):
             RateGenerator(np.array([[-1.0, 0.0], [2.0, 0.0]]), orders=(2,))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="overflowed"):
+            RateGenerator(np.array([[-bad, 1.0], [bad, -1.0]]), orders=(2,))
+
 
 class TestAssembleGenerator:
     def test_zero_couplings(self, shape):

@@ -214,6 +214,15 @@ class TestPointValidation:
             rate_at_order(4, 1, 0, *small_model, 300.0, shape, scales=scales)
 
     @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_overflowing_scale_rejected(self, shape, small_model, order):
+        # 1e200**2 already overflows a float
+        with pytest.raises(ValueError, match="scale"):
+            rate_at_order(order, 1, 0, *small_model, 300.0, shape, scales=[1.0, 1e200])
+        with pytest.raises(ValueError, match="scale"):
+            rate_at_order(order, 1, 0, *with_coupling_scale(small_model, 1e200),
+                          300.0, shape)
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, shape, small_model, order, threads):
         with pytest.raises(ValueError, match="threads"):

@@ -383,15 +383,18 @@ class TestNearResonantWarning:
         return Model(SpinSystem([0.0, self.GAP]), PhononBath(frequencies),
                      CouplingSet(hermitian(rng, len(frequencies), 2)))
 
-    @pytest.mark.parametrize("fn, frequencies", [
-        (rate_two_phonon, (30.0, RESONANT)),
-        (rate_three_phonon, (30.0, 40.0, RESONANT)),
-    ])
-    def test_warns_with_the_smallest_denominator(self, fn, frequencies):
+    @pytest.mark.parametrize("fn, frequencies, expected", [
+        (rate_two_phonon, (30.0, RESONANT), abs(GAP - RESONANT)),
+        (rate_three_phonon, (30.0, 40.0, RESONANT), abs(GAP - RESONANT)),
+        (rate_three_phonon, (RESONANT, 60.0, 70.0), abs(GAP - RESONANT)),
+        # only the pair denominator E_1 - w_0 - w_1 comes near zero
+        (rate_three_phonon, (20.0, 29.9766, 45.0), abs(GAP - 20.0 - 29.9766)),
+    ], ids=["rate_two_phonon-frequencies0", "rate_three_phonon-frequencies1",
+            "rate_three_phonon-first_mode", "rate_three_phonon-pair_only"])
+    def test_warns_with_the_smallest_denominator(self, fn, frequencies, expected):
         from spinphonon import NearResonantDenominatorWarning
 
         model = self.model(frequencies)
-        expected = abs(self.GAP - self.RESONANT)
         with pytest.warns(NearResonantDenominatorWarning) as record:
             fn(1, 0, *model, 300.0, Lineshape(eta=1.0))
         assert len(record) == 1
@@ -416,11 +419,11 @@ class TestNearResonantWarning:
 
 
 class TestPairTables:
-    """Order 6 reads one table per sign pair: packed upper triangles for equal
-    signs and one full table, read transposed for (-, +), for mixed signs."""
+    """Order 6 reads one table per sign pair, each a packed strict upper
+    triangle whose entries carry their smallest |real denominator|."""
 
     # every triple survives this window, so the packed-index corners (first
-    # and last mode) and both mixed-sign orientations are reached
+    # and last mode) and all four sign pairs are reached
     WIDE = Lineshape(kind="lorentzian", sigma=40.0, window=1000.0)
 
     def model(self, n_modes):
@@ -464,11 +467,14 @@ class TestPairTables:
                   (field.values() if isinstance(field, dict) else [field])]
         entries = sum(x.size for x in arrays if np.iscomplexobj(x))
         assert entries <= 2 * m * n + 2 * m * m * n
-        assert sorted(tab.pairs) == sorted([(EMIT, EMIT), (ABSORB, ABSORB), (EMIT, ABSORB)])
-        for (s_q, s_r), table in tab.pairs.items():
-            width = m * (m - 1) // 2 if s_q == s_r else m * m
-            assert table.shape == (n, width)
-            assert tab.pair_min[s_q, s_r].shape == (width,)
+        pairs = sorted(key for key in tab.tables if len(key) == 2)
+        assert pairs == sorted(itertools.product((EMIT, ABSORB), repeat=2))
+        q, r = np.triu_indices(m, 1)
+        for s_q, s_r in pairs:
+            assert tab.tables[s_q, s_r].shape == (n, q.size)
+            low = tab.mins[s_q, s_r]
+            assert low.shape == (q.size,)
+            assert np.all(low <= tab.mins[s_q,][q]) and np.all(low <= tab.mins[s_r,][r])
 
     def test_generator_builds_one_table_set_per_source(self, shape, monkeypatch):
         from spinphonon import order_generator_matrices, rate_at_order, rates
