@@ -29,27 +29,26 @@ in chunk order, so results are bit-stable from run to run. The
 ``threads`` argument of the public rate functions is validated (at least
 1) and otherwise ignored.
 
-Before its chunk loop, a call of one transition b <- a tabulates what depends
-on single modes or mode pairs. For each sign s = +-1 it forms the propagated
-vectors R_s[r] = V^r[:, a] / (E - E_a + s w_r + i eta). At sixth order the
-orderings (p, q, r) and (p, r, q) of a triple share the outer denominator
-D(q, r) = E - E_a + s_q w_q + s_r w_r + i eta, so for each of the four sign
-pairs (s_q, s_r) it folds both inner contractions sum_d V^q[:, d] R_{s_r}[r]_d
-and sum_d V^r[:, d] R_{s_q}[q]_d of a mode pair q < r over D(q, r) into one
-pair table, stored as a packed strict upper triangle. Each table entry
-carries the smallest |real denominator| of everything it contains: its own
-|Re D| and those of R_{s_q}[q] and R_{s_r}[r]. With M modes and n states
-that is 2 M n + (2 M^2 - 2 M) n complex numbers (about 5.8 MB at M = 300,
-n = 2, 11.5 MB at n = 4), plus 2 M^2 reals of minima (1.4 MB at M = 300),
-shared read-only by all chunks.
-These source tables depend on a and the order, not on b, so the generator
-builds them once per source state. An ordering of a pair then costs one
-gather and an n-term dot; a triple costs three gathers from the pair tables
-and three n-term dots, with no division.
+Before its chunk loop, a call of one transition b <- a tabulates its
+source's amplitudes as one recursion over levels, each adding one mode and
+one denominator. Level 0 is the table (): the one-hot column of state a.
+For the signs s of an ascending mode set Q, level |Q| holds T_s[c; Q], the
+sum over m in Q, ascending, of sum_d V^m[c, d] T_s'[d; Q - m] (s' drops the
+sign of m), divided by D_c(Q) = E_c - E_a + sum_Q s_q w_q + i eta. Level 1
+has M columns per sign; level 2, built at order 6 only, one packed strict
+upper triangle per sign pair. Each entry carries the smallest |real
+denominator| of everything it contains. With M modes and n states, order 6
+keeps n + 2 M n + (2 M^2 - 2 M) n complex numbers (about 5.8 MB at M = 300,
+n = 2, 11.5 MB at n = 4) plus 2 M^2 reals of minima (1.4 MB at M = 300),
+shared read-only by all chunks and built once per source state, since they
+do not depend on b. At every order, the amplitude of a k-tuple is the sum
+over its first mode p of V^p[b, :] dotted with the level-(k - 1) entry of
+the other modes: one gather and one n-term dot per first mode, no division.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -83,8 +82,6 @@ CHUNK = 4096
 #: at a time. Its working arrays grow with the block, and so does the peak
 #: memory of a T1 run.
 _BLOCK = 4
-
-_PERMS2 = ((0, 1), (1, 0))
 
 _TWO_PI = 2.0 * np.pi
 
@@ -130,6 +127,8 @@ def _breakdown(
         v = _TWO_PI * sums[pattern] * factor * CM_TO_RATE_S
         ordered[pattern] = v
         total += v
+    if not math.isfinite(total):
+        raise ValueError(f"order-{order} rates overflowed: a rate is not finite")
     return RateBreakdown(order=order, per_channel=ordered, total=total)
 
 
@@ -273,78 +272,71 @@ class _Tables(NamedTuple):
     """
 
     # source part
-    #: keyed by the signs of the modes after the first:
-    #: (s,) -> [d, r] = V[r, d, a] / (E_d - E_a + s w_r + i eta), n x M;
-    #: order 6 only, (s_q, s_r) -> [c, tri_row[q] + r] for q < r =
-    #: (inner_{s_r}[c; q, r] + inner_{s_q}[c; r, q]) / D_c(q, r), n x M(M-1)/2,
-    #: with inner_s[c; q, r] = sum_d V[q, c, d] tables[s,][d, r] and
-    #: D_c(q, r) = E_c - E_a + (s_q w_q + s_r w_r) + i eta
+    #: signs of an ascending mode set Q -> its level's table T_s[c; Q] (module
+    #: docstring) at column _column(tri_row, Q): n x 1 for (), the one-hot
+    #: column of state a; n x M for one mode; n x M(M-1)/2 for a pair
     tables: dict[tuple[int, ...], np.ndarray]
-    #: same keys -> smallest |real denominator| per column: min over d of
-    #: |E_d - E_a + s w_r| for (s,); for (s_q, s_r) min over c of
-    #: |Re D_c(q, r)|, folded with the (s_q,) minimum at q and (s_r,) at r
+    #: same keys -> smallest |real denominator| per column: inf for (), else
+    #: min over c of |Re D_c(Q)| folded with the minima of the children
     mins: dict[tuple[int, ...], np.ndarray]
-    #: order 6 only: column of the pair (q, r) is tri_row[q] + r, length M
-    tri_row: np.ndarray | None
+    #: column of the pair q < r is tri_row[q] + r, length M
+    tri_row: np.ndarray
     # destination part
-    v_ba: np.ndarray | None = None  #: V[:, b, a], length M
     v_b: np.ndarray | None = None  #: [c, q] = V[q, b, c], n x M
+
+
+def _column(tri_row: np.ndarray, modes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Column of each ascending mode set in its level's table: 0 for the
+    empty set, the mode for one, tri_row[q] + r for a pair q < r."""
+    if not modes:
+        return np.zeros(1, dtype=np.int32)
+    if len(modes) == 1:
+        return modes[0]
+    q, r = modes
+    return np.take(tri_row, q) + r
 
 
 def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
                    v: np.ndarray, eta: float) -> _Tables:
-    """The source part of the tables of every transition out of a; sizes are
-    in the module docstring. The pair tables are built one state c at a
-    time, so the build needs only a few M x M blocks beyond its output."""
+    """The source part of the tables of every transition out of a, levels 0
+    to order / 2 - 1, sized in the module docstring. Each level is built one
+    state c at a time, beside a few M x M blocks of scratch."""
     m, n = v.shape[:2]
-    tables, mins = {}, {}
-    tri_row = None
-    if order > 2:
-        for s in (EMIT, ABSORB):
-            real = np.add.outer(d_e, s * freqs)
-            mins[s,] = np.min(np.abs(real), axis=0)
-            tables[s,] = v[:, :, a].T / (real + 1j * eta)
-    if order == 6:
-        q, r = np.triu_indices(m, 1)
-        rows = np.arange(m)
-        tri_row = (rows * (m - 1) - rows * (rows - 1) // 2 - rows - 1).astype(np.int32)
-        pair_keys = [(s_q, s_r) for s_q in (EMIT, ABSORB) for s_r in (EMIT, ABSORB)]
-        for s_q, s_r in pair_keys:
-            tables[s_q, s_r] = np.empty((n, q.size), dtype=complex)
-            mins[s_q, s_r] = np.minimum(mins[s_q,][q], mins[s_r,][r])
+    q = np.arange(m)
+    tri_row = (q * (m - 1) - q * (q - 1) // 2 - q - 1).astype(np.int32)
+    tables, mins = {(): np.eye(n, dtype=complex)[:, [a]]}, {(): np.full(1, np.inf)}
+    modes, last = (), np.full(1, -1)
+    for level in range(1, order // 2):
+        # the level's mode sets in lexicographic order, one array per position
+        rows, last = _expand(last + 1, m)
+        modes = tuple(ix[rows] for ix in modes) + (last,)
+        # child i of a set drops its i-th mode, and of a key its i-th sign
+        cols = [_column(tri_row, modes[:i] + modes[i + 1:]) for i in range(level)]
+        keys = list(itertools.product((EMIT, ABSORB), repeat=level))
+        shift = {key: sum(s * freqs[ix] for s, ix in zip(key, modes)) for key in keys}
+        for key in keys:
+            tables[key] = np.empty((n, last.size), dtype=complex)
+            mins[key] = np.full(last.size, np.inf)
+            for i, col in enumerate(cols):
+                np.minimum(mins[key], mins[key[:i] + key[i + 1:]][col], out=mins[key])
         for c in range(n):
-            inner = {s: v[:, c, :] @ tables[s,] for s in (EMIT, ABSORB)}
-            for s_q, s_r in pair_keys:
-                real = d_e[c] + (s_q * freqs[q] + s_r * freqs[r])
-                num = inner[s_r][q, r] + inner[s_q][r, q]
-                tables[s_q, s_r][c] = num / (real + 1j * eta)
-                np.minimum(mins[s_q, s_r], np.abs(real), out=mins[s_q, s_r])
+            inner = {k: v[:, c, :] @ tables[k] for k in tables if len(k) == level - 1}
+            for key in keys:
+                terms = [inner[key[:i] + key[i + 1:]][modes[i], col]
+                         for i, col in enumerate(cols)]
+                real = d_e[c] + shift[key]
+                tables[key][c] = sum(terms[1:], terms[0]) / (real + 1j * eta)
+                np.minimum(mins[key], np.abs(real), out=mins[key])
     return _Tables(tables, mins, tri_row)
 
 
-def _single_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
-    return np.abs(tab.v_ba[sel[0]]) ** 2, np.inf
-
-
-def _pair_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
+def _amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
+    # Each first mode p takes V[p, b, :] dotted with the table entry of the
+    # other modes, which sums their orderings and carries their minima.
     amp = np.zeros(sel[0].size, dtype=complex)
     min_abs = np.inf
-    for p, q in _PERMS2:
-        min_abs = min(min_abs, float(np.min(tab.mins[signs[q],][sel[q]])))
-        amp += np.einsum("ct,ct->t", np.take(tab.v_b, sel[p], axis=1),
-                         np.take(tab.tables[signs[q],], sel[q], axis=1))
-    return amp.real**2 + amp.imag**2, min_abs
-
-
-def _triple_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
-    # Orderings (p, q, r) and (p, r, q) share one pair-table entry, so each
-    # first mode p costs one gather from v_b and one from the pair table.
-    # Every position is an inner mode of some pair, whose minimum folds it in.
-    min_abs = np.inf
-    amp = np.zeros(sel[0].size, dtype=complex)
-    for p in range(3):
-        q, r = (i for i in range(3) if i != p)
-        key, col = (signs[q], signs[r]), np.take(tab.tri_row, sel[q]) + sel[r]
+    for p in range(len(sel)):
+        key, col = signs[:p] + signs[p + 1:], _column(tab.tri_row, sel[:p] + sel[p + 1:])
         min_abs = min(min_abs, float(np.min(np.take(tab.mins[key], col))))
         terms = np.take(tab.v_b, sel[p], axis=1)
         terms *= np.take(tab.tables[key], col, axis=1)
@@ -352,9 +344,7 @@ def _triple_amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
     return amp.real**2 + amp.imag**2, min_abs
 
 
-_AMPLITUDES = {2: _single_amp2, 4: _pair_amp2, 6: _triple_amp2}
-
-_PHONONS = {4: "two", 6: "three"}
+_PHONONS = {2: "one", 4: "two", 6: "three"}
 
 
 # ---------------------------------------------------------------------------
@@ -412,86 +402,6 @@ def _check_points(
     return limits, scales
 
 
-def _rate_points(
-    order: int,
-    b: int,
-    a: int,
-    system: SpinSystem,
-    bath: PhononBath,
-    couplings: CouplingSet,
-    temperature: float | Sequence[float],
-    shape: Lineshape,
-    mode_limits: Sequence[int] | None = None,
-    scales: Sequence[float] | None = None,
-    sources: dict | None = None,
-) -> list[RateBreakdown]:
-    """One RateBreakdown per point; see ``rate_at_order``.
-
-    ``sources``, when given, maps (order, a) to source tables: the call
-    reuses an entry or adds the one it builds. Only calls on the same
-    model, lineshape and source may share the dict.
-    """
-    if order not in _AMPLITUDES:
-        raise ValueError(f"order must be 2, 4, or 6, got {order}")
-    _check_transition(b, a, system.n_states)
-    temps = np.asarray(temperature, dtype=float)
-    limits, scales = _check_points(temps, mode_limits, scales, bath.n_modes)
-    occs = [_occupations(bath.frequencies, float(t)) for t in np.atleast_1d(temps)]
-    n_sums = len(occs) if limits is None else len(limits)
-
-    omega_ba = system.transition_frequency(b, a)
-    freqs = bath.frequencies
-    v = couplings.matrices
-    source = None if sources is None else sources.get((order, a))
-    if source is None:
-        d_e = np.asarray(system.energies - system.energies[a])
-        source = _source_tables(order, a, d_e, freqs, v, shape.eta)
-        if sources is not None:
-            sources[order, a] = source
-    tab = source._replace(v_ba=v[:, b, a], v_b=np.ascontiguousarray(v[:, b, :].T))
-    amplitude = _AMPLITUDES[order]
-
-    sums: dict[SignPattern, np.ndarray] = {}
-    min_abs_all = np.inf
-    for pattern in sign_patterns(order // 2):
-        idx = _prune(order, omega_ba, pattern, bath, shape)
-        signs = pattern.signs
-        total = np.zeros(n_sums)
-        for lo in range(0, idx[0].size, CHUNK):
-            sel = tuple(ix[lo:lo + CHUNK] for ix in idx)
-            amp2, min_abs = amplitude(sel, signs, tab)
-            min_abs_all = min(min_abs_all, min_abs)
-            mismatch = omega_ba
-            for s, ix in zip(signs, sel):
-                mismatch = mismatch + s * freqs[ix]
-            line = _weights(mismatch, shape)
-            if limits is None:
-                partial = np.array([
-                    np.sum(amp2 * (_bose_product(occ, sel, signs) * line))
-                    for occ in occs
-                ])
-            else:
-                # bin by the first limit admitting the tuple's largest mode;
-                # tuples no limit admits land in the dropped last bin
-                contrib = amp2 * (_bose_product(occs[0], sel, signs) * line)
-                first = np.searchsorted(limits, sel[-1], side="right")
-                binned = np.bincount(first, weights=contrib, minlength=n_sums + 1)
-                partial = np.cumsum(binned[:n_sums])
-            total = total + partial
-        sums[pattern] = total
-    if min_abs_all < shape.eta / 10.0:
-        warnings.warn(
-            f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of zero "
-            f"(|x| = {min_abs_all:.3e} cm^-1)",
-            NearResonantDenominatorWarning,
-            stacklevel=_caller_stacklevel(),
-        )
-    per_point = [{p: float(s[k]) for p, s in sums.items()} for k in range(n_sums)]
-    if scales is None:
-        return [_breakdown(order, point, couplings.scale) for point in per_point]
-    return [_breakdown(order, per_point[0], lam) for lam in scales]
-
-
 def rate_at_order(
     order: int,
     b: int,
@@ -529,12 +439,71 @@ def rate_at_order(
     another order. ``threads`` must be at least 1 and is otherwise ignored:
     the kernel runs on the calling thread. ``_sources`` is private to
     ``order_generator_matrices``, whose calls from one source share the
-    b-independent tables through it.
+    b-independent tables through it: it maps (order, a) to source tables,
+    and the call reuses an entry or adds the one it builds. Only calls on
+    the same model and lineshape may share the dict.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    points = _rate_points(order, b, a, system, bath, couplings, temperature, shape,
-                          mode_limits, scales, _sources)
+    if order not in _PHONONS:
+        raise ValueError(f"order must be 2, 4, or 6, got {order}")
+    _check_transition(b, a, system.n_states)
+    temps = np.asarray(temperature, dtype=float)
+    limits, scales = _check_points(temps, mode_limits, scales, bath.n_modes)
+    occs = [_occupations(bath.frequencies, float(t)) for t in np.atleast_1d(temps)]
+    n_sums = len(occs) if limits is None else len(limits)
+
+    omega_ba = system.transition_frequency(b, a)
+    freqs = bath.frequencies
+    v = couplings.matrices
+    source = None if _sources is None else _sources.get((order, a))
+    if source is None:
+        d_e = np.asarray(system.energies - system.energies[a])
+        source = _source_tables(order, a, d_e, freqs, v, shape.eta)
+        if _sources is not None:
+            _sources[order, a] = source
+    tab = source._replace(v_b=np.ascontiguousarray(v[:, b, :].T))
+
+    sums: dict[SignPattern, np.ndarray] = {}
+    min_abs_all = np.inf
+    for pattern in sign_patterns(order // 2):
+        idx = _prune(order, omega_ba, pattern, bath, shape)
+        signs = pattern.signs
+        total = np.zeros(n_sums)
+        for lo in range(0, idx[0].size, CHUNK):
+            sel = tuple(ix[lo:lo + CHUNK] for ix in idx)
+            amp2, min_abs = _amp2(sel, signs, tab)
+            min_abs_all = min(min_abs_all, min_abs)
+            mismatch = omega_ba
+            for s, ix in zip(signs, sel):
+                mismatch = mismatch + s * freqs[ix]
+            line = _weights(mismatch, shape)
+            if limits is None:
+                partial = np.array([
+                    np.sum(amp2 * (_bose_product(occ, sel, signs) * line))
+                    for occ in occs
+                ])
+            else:
+                # bin by the first limit admitting the tuple's largest mode;
+                # tuples no limit admits land in the dropped last bin
+                contrib = amp2 * (_bose_product(occs[0], sel, signs) * line)
+                first = np.searchsorted(limits, sel[-1], side="right")
+                binned = np.bincount(first, weights=contrib, minlength=n_sums + 1)
+                partial = np.cumsum(binned[:n_sums])
+            total = total + partial
+        sums[pattern] = total
+    if min_abs_all < shape.eta / 10.0:
+        warnings.warn(
+            f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of zero "
+            f"(|x| = {min_abs_all:.3e} cm^-1)",
+            NearResonantDenominatorWarning,
+            stacklevel=_caller_stacklevel(),
+        )
+    per_point = [{p: float(s[k]) for p, s in sums.items()} for k in range(n_sums)]
+    if scales is None:
+        points = [_breakdown(order, point, couplings.scale) for point in per_point]
+    else:
+        points = [_breakdown(order, per_point[0], lam) for lam in scales]
     single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
     return points[0] if single else points
 

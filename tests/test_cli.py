@@ -210,6 +210,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("command", [
         ["t1", "--temp", "1e300"],
         ["sweep-temp", "--grid", "1e299:1e300:2"],
+        ["rates", "--temp", "1e300"],
+        ["crossover", "--temp", "1e300"],
     ])
     def test_overflowing_rates_exit_1(self, tmp_path, capsys, command, n_states):
         model = gen_model_file(tmp_path, seed=1, n_states=n_states, n_modes=10)

@@ -7,16 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphonon import (
+    CouplingSet,
     Lineshape,
+    Model,
     ModelSpec,
+    PhononBath,
     SignPattern,
+    SpinSystem,
+    bose_occupation,
     generate_model,
     prune_triples,
     rate_at_order,
+    relative_deviation,
     sign_patterns,
     with_coupling_scale,
 )
 from spinphonon import rates
+
+from conftest import hermitian
 
 FEW = settings(max_examples=15, deadline=None)
 
@@ -99,3 +107,29 @@ def test_mirror_channels_prune_to_equal_tuples(drawn, shape):
         back = rates._prune(4, -omega, mirror(pattern), model.bath, shape)
         for x, y in zip(there, back):
             np.testing.assert_array_equal(x, y)
+
+
+@st.composite
+def degenerate_models(draw):
+    """A 2- or 3-state model whose modes all sit at one frequency w."""
+    n_states = draw(st.integers(2, 3))
+    energies = sorted(draw(st.lists(st.floats(0.0, 300.0), min_size=n_states,
+                                    max_size=n_states)))
+    n_modes = draw(st.integers(1, 6))
+    w = draw(st.floats(20.0, 150.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return w, Model(SpinSystem(energies), PhononBath([w] * n_modes),
+                    CouplingSet(hermitian(rng, n_modes, n_states)))
+
+
+@FEW
+@given(drawn=degenerate_models(), shape=shapes, temperature=st.floats(5.0, 1000.0))
+def test_one_phonon_detailed_balance(drawn, shape, temperature):
+    """Emission on b <- a and absorption on a <- b share |V_ba|^2 and the
+    (even) lineshape, so they differ only by (n_w + 1) against n_w."""
+    w, model = drawn
+    n_w = bose_occupation(w, temperature)
+    for b, a in itertools.permutations(range(model.system.n_states), 2):
+        emit = rate_at_order(2, b, a, *model, temperature, shape).channel("+")
+        absorb = rate_at_order(2, a, b, *model, temperature, shape).channel("-")
+        assert relative_deviation(emit * n_w, absorb * (n_w + 1.0)) <= 1e-12

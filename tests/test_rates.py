@@ -20,6 +20,7 @@ from spinphonon import (
     SpinSystem,
     assemble_generator,
     bose_occupation,
+    channel_weight,
     generate_model,
     lineshape_weight,
     naive_rate_three_phonon,
@@ -28,6 +29,7 @@ from spinphonon import (
     rate_one_phonon,
     rate_three_phonon,
     rate_two_phonon,
+    relative_deviation,
     restrict_bath,
     sign_patterns,
     sweep_temperature,
@@ -343,9 +345,24 @@ class TestRateProperties:
             assert again.per_channel[pattern] == full.per_channel[pattern]
 
 
+def one_phonon_by_hand(b, a, model, temperature, shape):
+    """Each channel's sum_alpha |V^alpha_ba|^2 times its channel weight,
+    converted to s^-1 as every rate is: 2 pi scale^2 CM_TO_RATE_S."""
+    system, bath, couplings = model
+    omega_ba = system.transition_frequency(b, a)
+    return {
+        pattern: PREF * couplings.scale**2 * sum(
+            abs(couplings.matrices[alpha, b, a]) ** 2
+            * channel_weight(pattern, [w], omega_ba, temperature, shape)
+            for alpha, w in enumerate(bath.frequencies))
+        for pattern in sign_patterns(1)
+    }
+
+
 class TestEveryTransition:
     """The per-call tables depend on the source and destination states, so
-    every ordered pair (b, a) is checked, not only (1, 0)."""
+    every ordered pair (b, a) is checked, not only (1, 0). Order 2 reads the
+    source's one-hot table too."""
 
     @pytest.mark.parametrize("seed, n_states", [(21, 3), (22, 4)])
     def test_matches_oracle_and_threads(self, shape, monkeypatch, seed, n_states):
@@ -358,12 +375,18 @@ class TestEveryTransition:
                                          gap=5.0, excited_offset=30.0,
                                          freq_range=(20.0, 150.0)))
         for b, a in itertools.permutations(range(n_states), 2):
-            for order, naive_fn in ((4, naive_rate_two_phonon),
-                                    (6, naive_rate_three_phonon)):
+            for order, expected, tolerance in (
+                (2, one_phonon_by_hand(b, a, model, 280.0, shape), 1e-12),
+                (4, naive_rate_two_phonon(b, a, *model, 280.0, shape).per_channel,
+                 1e-10),
+                (6, naive_rate_three_phonon(b, a, *model, 280.0, shape).per_channel,
+                 1e-10),
+            ):
                 fast = rate_at_order(order, b, a, *model, 280.0, shape, threads=1)
-                naive = naive_fn(b, a, *model, 280.0, shape)
                 assert fast.total > 0.0
-                assert max_channel_dev(fast, naive) <= 1e-10, (order, b, a)
+                dev = max(relative_deviation(fast.per_channel[p], expected[p])
+                          for p in fast.per_channel)
+                assert dev <= tolerance, (order, b, a)
                 split = rate_at_order(order, b, a, *model, 280.0, shape, threads=2)
                 assert split.per_channel == fast.per_channel
 
@@ -463,18 +486,23 @@ class TestPairTables:
         d_e = model.system.energies - model.system.energies[1]
         tab = rates._source_tables(6, 1, d_e, model.bath.frequencies,
                                    model.couplings.matrices, 1.0)
-        arrays = [x for field in tab for x in
-                  (field.values() if isinstance(field, dict) else [field])]
-        entries = sum(x.size for x in arrays if np.iscomplexobj(x))
-        assert entries <= 2 * m * n + 2 * m * m * n
-        pairs = sorted(key for key in tab.tables if len(key) == 2)
-        assert pairs == sorted(itertools.product((EMIT, ABSORB), repeat=2))
+        signs = (EMIT, ABSORB)
+        pairs = list(itertools.product(signs, repeat=2))
+        keys = [()] + [(s,) for s in signs] + pairs
+        assert sorted(tab.tables) == sorted(tab.mins) == sorted(keys)
+        # one column per mode set of the level: none, one mode, a pair q < r
+        columns = {0: 1, 1: m, 2: m * (m - 1) // 2}
+        for key in keys:
+            assert tab.tables[key].shape == (n, columns[len(key)])
+            assert tab.mins[key].shape == (columns[len(key)],)
+        np.testing.assert_array_equal(tab.tables[()][:, 0], np.eye(n)[1])
+        assert tab.mins[()][0] == np.inf
         q, r = np.triu_indices(m, 1)
         for s_q, s_r in pairs:
-            assert tab.tables[s_q, s_r].shape == (n, q.size)
             low = tab.mins[s_q, s_r]
-            assert low.shape == (q.size,)
             assert np.all(low <= tab.mins[s_q,][q]) and np.all(low <= tab.mins[s_r,][r])
+        entries = sum(x.size for x in tab.tables.values())
+        assert entries <= 2 * m * n + 2 * m * m * n
 
     def test_generator_builds_one_table_set_per_source(self, shape, monkeypatch):
         from spinphonon import order_generator_matrices, rate_at_order, rates
