@@ -123,6 +123,9 @@ class CouplingSet:
             raise ValueError("matrices must have shape (n_modes, n_states, n_states)")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError("scale must be finite and positive")
+        bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"coupling matrix for mode index {bad[0]} is not finite")
         dev = np.max(np.abs(m - m.conj().transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
         bad = np.flatnonzero(dev > _HERMITICITY_TOL)
         if bad.size:

@@ -120,7 +120,10 @@ def model_from_dict(doc: dict) -> Model:
             f"(n_modes, n_states, n_states, [re, im]); got {coup.shape}"
         )
     # checked in file order, so an error names the file's mode index; with
-    # the shape checked above, Hermiticity is all that can fail here
+    # the shape and finiteness checked, Hermiticity is all that can fail here
+    bad = np.flatnonzero(~np.isfinite(coup).all(axis=(1, 2, 3)))
+    if bad.size:
+        raise ModelParseError(f"coupling matrix for mode index {bad[0]} is not finite")
     try:
         matrices = CouplingSet(coup[..., 0] + 1j * coup[..., 1]).matrices
     except ValueError as exc:

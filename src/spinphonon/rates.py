@@ -16,18 +16,18 @@ windowed lineshape, since only tuples whose energy mismatch lies inside
 window * sigma can contribute. One pruner serves both orders: it locates
 the admissible last index by binary search on the sorted mode frequencies
 and keeps the candidates whose exact mismatch, folded left to right as the
-chunk weights fold it, lies inside the window. Candidates are filtered a
-block of first indices at a time, straight into the output, so pruning
-holds the output plus one block.
+chunk weights fold it, lies inside the window. Pruning and evaluation run
+one chunk at a time: the pruner hands each chunk of survivors to the
+kernel as soon as it is filtered, so no channel's tuples are ever stored
+whole.
 
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
-several coupling scales. Surviving tuples are evaluated vectorized in
-fixed-size chunks on the calling thread; each chunk's |A|^2 is computed
-once and reduced against every point, and the chunk partial sums are added
-in chunk order, so results are bit-stable from run to run. The
-``threads`` argument of the public rate functions is validated (at least
-1) and otherwise ignored.
+several coupling scales. Each chunk is evaluated vectorized on the calling
+thread; its |A|^2 is computed once and reduced against every point, and
+the chunk partial sums are added in chunk order, so results are bit-stable
+from run to run. The ``threads`` argument of the public rate functions is
+validated (at least 1) and otherwise ignored.
 
 Before its chunk loop, a call of one transition b <- a tabulates its
 source's amplitudes as one recursion over levels, each adding one mode and
@@ -54,7 +54,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,15 +73,12 @@ from .core import (
     sign_patterns,
 )
 
-#: Triples (and pairs) are evaluated in fixed chunks of this many entries.
-#: The chunk boundaries fix the summation order, so the printed digits
-#: depend on this value.
+#: Tuples are pruned and evaluated in chunks of about this many candidates
+#: (tuples before the exact window filter). Chunks are cut between whole
+#: prefixes (all phonons but the last), so one holds fewer than CHUNK + M
+#: candidates. The chunk boundaries fix the summation order, so the printed
+#: digits depend on this value.
 CHUNK = 4096
-
-#: Pruning filters the last phonon's candidates for this many first indices
-#: at a time. Its working arrays grow with the block, and so does the peak
-#: memory of a T1 run.
-_BLOCK = 4
 
 _TWO_PI = 2.0 * np.pi
 
@@ -194,25 +191,29 @@ def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray]:
     return rows, index
 
 
-def _prune(
+def _chunks(
     order: int,
     omega_ba: float,
     pattern: SignPattern,
     bath: PhononBath,
     shape: Lineshape,
-) -> tuple[np.ndarray, ...]:
-    """Surviving tuples of one channel as one index array per phonon.
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Surviving tuples of one channel, a chunk at a time, as one index
+    array per phonon.
 
     The tuples are strictly index-ordered, in lexicographic order, with
     |((omega_ba + s0 w_i) + s1 w_j) + s2 w_k| <= window * sigma. Each inner
-    phonon extends every prefix by every later index; the last phonon's
-    candidates are filtered _BLOCK first indices at a time into arrays
-    sized for every candidate.
+    phonon extends every prefix by every later index. A chunk ends after
+    the prefix at which the running count of last-phonon candidates passes
+    a multiple of CHUNK, so it holds fewer than CHUNK + M candidates; empty
+    chunks are skipped.
     """
     m = bath.n_modes
     if order == 2:
         # the one-phonon sum is not pruned: it runs over every mode
-        return (np.arange(m, dtype=np.int64),)
+        for lo in range(0, m, CHUNK):
+            yield (np.arange(lo, min(lo + CHUNK, m)),)
+        return
     freqs = bath.frequencies
     signs = pattern.signs
     half = shape.halfwidth
@@ -228,17 +229,14 @@ def _prune(
         mismatch - half, mismatch + half)
     start = np.maximum(np.searchsorted(freqs, lo, side="left"), prefix[-1] + 1)
     stop = np.searchsorted(freqs, hi, side="right")
-    out = [np.empty(np.maximum(stop - start, 0).sum(), dtype=np.int32) for _ in signs]
-    n = 0
-    blocks = np.searchsorted(prefix[0], np.arange(0, m + _BLOCK, _BLOCK))
-    for p0, p1 in zip(blocks[:-1], blocks[1:]):
+    cuts = np.flatnonzero(np.diff(np.cumsum(np.maximum(stop - start, 0)) // CHUNK,
+                                  prepend=0)) + 1
+    for p0, p1 in zip([0, *cuts], [*cuts, start.size]):
         rows, last = _expand(start[p0:p1], stop[p0:p1])
         keep = np.abs(mismatch[p0:p1][rows] + s * freqs[last]) <= half
-        rows = rows[keep] + p0
-        for dst, ix in zip(out, [ix[rows] for ix in prefix] + [last[keep]]):
-            dst[n:n + rows.size] = ix
-        n += rows.size
-    return tuple(dst[:n] for dst in out)
+        if keep.any():
+            rows = rows[keep] + p0
+            yield tuple(ix[rows] for ix in prefix) + (last[keep],)
 
 
 def prune_triples(
@@ -253,8 +251,8 @@ def prune_triples(
     """
     if len(pattern) != 3:
         raise ValueError("triple pruning requires a three-phonon sign pattern")
-    ai, bi, gi = _prune(6, omega_ba, pattern, bath, shape)
-    return [TripleIndex(int(x), int(y), int(z)) for x, y, z in zip(ai, bi, gi)]
+    return [TripleIndex(*t) for sel in _chunks(6, omega_ba, pattern, bath, shape)
+            for t in zip(*(ix.tolist() for ix in sel))]
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +351,13 @@ _PHONONS = {2: "one", 4: "two", 6: "three"}
 
 def _caller_stacklevel() -> int:
     """Stacklevel, for a warning raised by this function's caller, of the
-    first frame outside the package, so the warning names the user's line."""
+    first frame outside the package, so the warning names the user's line;
+    of the outermost package frame if that one is runpy's (``python -m``)."""
     level, frame = 1, sys._getframe(1)
     while frame and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
         level += 1
         frame = frame.f_back
-    return level
+    return level - (frame is not None and frame.f_globals.get("__name__") == "runpy")
 
 
 def _check_points(
@@ -467,11 +466,9 @@ def rate_at_order(
     sums: dict[SignPattern, np.ndarray] = {}
     min_abs_all = np.inf
     for pattern in sign_patterns(order // 2):
-        idx = _prune(order, omega_ba, pattern, bath, shape)
         signs = pattern.signs
         total = np.zeros(n_sums)
-        for lo in range(0, idx[0].size, CHUNK):
-            sel = tuple(ix[lo:lo + CHUNK] for ix in idx)
+        for sel in _chunks(order, omega_ba, pattern, bath, shape):
             amp2, min_abs = _amp2(sel, signs, tab)
             min_abs_all = min(min_abs_all, min_abs)
             mismatch = omega_ba

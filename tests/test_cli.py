@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +163,24 @@ class TestOracleCheck:
         assert worst <= 1e-10
 
 
+def test_warning_under_python_m_names_the_cli_line():
+    """Under ``python -m spinphonon.cli`` the first frame outside the
+    package is runpy's, so the warning names the CLI's own line instead."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinphonon.cli", "oracle-check", "--seed", "5",
+         "--n-states", "4", "--n-modes", "14", "--gap", "5",
+         "--excited-offset", "30"],
+        capture_output=True, text=True, env=env, check=True)
+    warned = [line for line in proc.stderr.splitlines()
+              if "NearResonantDenominatorWarning" in line]
+    assert warned
+    assert all("cli.py:" in line for line in warned)
+    assert "runpy" not in proc.stderr
+
+
 class TestGenModel:
     def test_gen_model_round_trips_through_t1(self, tmp_path, capsys):
         model = gen_model_file(tmp_path, seed=23)
@@ -219,6 +242,17 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflowed" in captured.err
+
+    def test_non_finite_coupling_exits_1_as_bad_input(self, tmp_path, capsys):
+        path = gen_model_file(tmp_path, seed=1, n_modes=10)
+        doc = json.loads(path.read_text())
+        doc["couplings"][3][0][1][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert run_cli(["rates", "--input", str(path), "--orders", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+        assert "overflowed" not in captured.err
 
     def test_overflowing_coupling_scale_exits_1(self, tmp_path, capsys):
         model = gen_model_file(tmp_path, seed=1, n_modes=10)

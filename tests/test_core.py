@@ -228,6 +228,14 @@ class TestContainers:
         with pytest.raises(ValueError, match="Hermitian"):
             CouplingSet(bad)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_coupling_entries_must_be_finite(self, value):
+        mats = np.zeros((3, 2, 2), dtype=complex)
+        mats[1, 0, 1] = mats[2, 1, 1] = value
+        with pytest.raises(ValueError, match="mode index 1 is not finite"):
+            CouplingSet(mats)
+
     def test_coupling_scale_positive(self):
         mat = np.zeros((1, 2, 2), dtype=complex)
         with pytest.raises(ValueError):

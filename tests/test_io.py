@@ -60,6 +60,19 @@ class TestLoadSystem:
         with pytest.raises(NonHermitianCouplingError, match="mode index 2"):
             model_from_dict(doc)
 
+    def test_non_finite_coupling_rejected_in_file_order(self, tmp_path):
+        doc = minimal_doc()
+        # the first mode in the file is not the lowest, so a sorted-order
+        # index would name another mode
+        doc["modes"] = [50.0, 35.0, 20.0]
+        doc["couplings"][1][1][0] = [float("nan"), 0.0]
+        doc["couplings"][2][0][0] = [0.0, float("inf")]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ModelParseError, match="mode index 1 is not finite"):
+            load_system(path)
+
     def test_shape_mismatch(self):
         doc = minimal_doc()
         doc["couplings"] = doc["couplings"][:2]

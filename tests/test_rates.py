@@ -167,14 +167,14 @@ class TestPruneTriples:
         for pattern in sign_patterns(3):
             assert prune_triples(0.123, pattern, bath, shape) == []
 
-    def test_matches_brute_force_on_random_bath(self):
+    def test_matches_brute_force_on_random_bath(self, monkeypatch):
         from spinphonon import rates
 
         rng = np.random.default_rng(77)
         baths = [
             np.sort(rng.uniform(10.0, 400.0, size=50)),
-            # several prune blocks and a partial last one
-            np.sort(rng.uniform(10.0, 400.0, size=2 * rates._BLOCK + 5)),
+            # about three chunks of order-6 candidates at the default CHUNK
+            np.sort(rng.uniform(10.0, 400.0, size=round((64 * rates.CHUNK) ** (1 / 3)))),
             # degenerate frequencies; integers put some mismatches exactly on
             # the window edge
             np.array([20.0, 20.0, 20.0, 50.0, 55.0, 57.0, 62.0, 62.0, 100.0, 100.0,
@@ -184,23 +184,46 @@ class TestPruneTriples:
             np.array([60.0, 95.0]),
         ]
         shape = Lineshape(sigma=7.0)
+        n_chunks = dict.fromkeys((1, 5, rates.CHUNK), 0)
         for freqs, order, omega_ba in itertools.product(
                 baths, (4, 6), (-120.0, 0.4, 35.0)):
             bath = PhononBath(freqs)
+            tuples = np.array(list(itertools.combinations(range(freqs.size), order // 2)),
+                              dtype=int).reshape(-1, order // 2)
             for pattern in sign_patterns(order // 2):
-                got = rates._prune(order, omega_ba, pattern, bath, shape)
-                expected = []
-                for tup in itertools.combinations(range(freqs.size), order // 2):
-                    arg = omega_ba
-                    for s, k in zip(pattern.signs, tup):
-                        arg += s * freqs[k]
-                    if abs(arg) <= shape.halfwidth:
-                        expected.append(tup)
-                assert list(zip(*(ix.tolist() for ix in got))) == expected, (
-                    freqs.size, order, omega_ba, pattern.label)
-                if order == 6:
-                    assert prune_triples(omega_ba, pattern, bath, shape) == [
-                        TripleIndex(*t) for t in expected]
+                arg = omega_ba
+                for s, k in zip(pattern.signs, tuples.T):
+                    arg = arg + s * freqs[k]
+                expected = [tuple(t) for t in tuples[np.abs(arg) <= shape.halfwidth].tolist()]
+                for chunk in n_chunks:
+                    monkeypatch.setattr(rates, "CHUNK", chunk)
+                    chunks = list(rates._chunks(order, omega_ba, pattern, bath, shape))
+                    n_chunks[chunk] = max(n_chunks[chunk], len(chunks))
+                    got = [t for sel in chunks for t in zip(*(ix.tolist() for ix in sel))]
+                    assert got == expected, (chunk, freqs.size, order, omega_ba,
+                                             pattern.label)
+                    if order == 6:
+                        assert prune_triples(omega_ba, pattern, bath, shape) == [
+                            TripleIndex(*t) for t in expected]
+        assert min(n_chunks.values()) > 1
+
+    def test_chunks_hold_fewer_than_chunk_plus_m_tuples(self):
+        from spinphonon import rates
+
+        model = generate_model(ModelSpec(seed=11, n_states=2, n_modes=300,
+                                         freq_range=(20.0, 560.0)))
+        m = model.bath.n_modes
+        omega_ba = model.system.transition_frequency(1, 0)
+        shape = Lineshape(sigma=10.0)
+        most = {}
+        for order in (2, 4, 6):
+            for pattern in sign_patterns(order // 2):
+                sizes = [sel[0].size for sel in
+                         rates._chunks(order, omega_ba, pattern, model.bath, shape)]
+                assert all(0 < size < rates.CHUNK + m for size in sizes)
+                most[order] = max(most.get(order, 0), len(sizes))
+        # the bound only says something about channels that have been cut
+        assert most[4] > 1 and most[6] > 1
 
     def test_strict_ordering(self):
         bath = PhononBath([10.0, 20.0, 30.0, 40.0])
