@@ -30,7 +30,6 @@ from .core import (
 )
 from .rates import (
     RateBreakdown,
-    TripleIndex,
     prune_triples,
     rate_at_order,
     rate_one_phonon,

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: rates, t1, sweep-temp, sweep-cutoff, sweep-lambda, crossover,
-gen-model, oracle-check. Exit codes: 0 success, 1 validation/usage error,
-2 internal error. Identical arguments and input files produce identical
-output files. The rate kernels run on one thread; --threads is accepted
-and validated (at least 1) but does not change what runs.
+gen-model, oracle-check. Exit codes: 0 success, 1 validation/usage error
+(a request too large to allocate included), 2 internal error. Identical
+arguments and input files produce identical output files. The rate
+kernels run on one thread; --threads is accepted and validated (at least
+1) but does not change what runs.
 """
 
 from __future__ import annotations
@@ -396,13 +397,16 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse already printed usage/help; remap its code to our contract
         return 0 if exc.code == 0 else 1
-    try:
-        return args.func(args)
     except (ModelFileError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a grid or model too large to allocate, whether parsing or running
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc!r}", file=sys.stderr)

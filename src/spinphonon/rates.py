@@ -10,16 +10,16 @@ has the same shape: a sum over mode tuples of three factors.
 - A product of Bose factors, the only place temperature enters.
 
 The coupling scale multiplies the finished channel sum as the exact factor
-lambda**order. The one-phonon sum runs over every mode; the two- and
-three-phonon sums run over index-ordered pairs and triples pruned with the
-windowed lineshape, since only tuples whose energy mismatch lies inside
-window * sigma can contribute. One pruner serves both orders: it locates
-the admissible last index by binary search on the sorted mode frequencies
-and keeps the candidates whose exact mismatch, folded left to right as the
-chunk weights fold it, lies inside the window. Pruning and evaluation run
-one chunk at a time: the pruner hands each chunk of survivors to the
-kernel as soon as it is filtered, so no channel's tuples are ever stored
-whole.
+lambda**order. Every sum runs over index-ordered modes, pairs or triples
+pruned with the windowed lineshape, since only tuples whose energy
+mismatch lies inside window * sigma can contribute. One pruner serves
+every order and is the only place the window is cut: it locates the
+admissible last index by binary search on the sorted mode frequencies and
+keeps the candidates whose exact mismatch, folded left to right, lies
+inside the window. Pruning and evaluation run one chunk at a time: the
+pruner hands each chunk of survivors to the kernel, with their
+mismatches, as soon as it is filtered, so no channel's tuples are ever
+stored whole.
 
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
@@ -85,14 +85,6 @@ _TWO_PI = 2.0 * np.pi
 _PACKAGE_DIR = os.path.dirname(__file__)
 
 
-class TripleIndex(NamedTuple):
-    """Strictly ordered mode-index triple alpha < beta < gamma."""
-
-    alpha: int
-    beta: int
-    gamma: int
-
-
 @dataclass(frozen=True, eq=False)
 class RateBreakdown:
     """Per-channel decomposition of one transition rate.
@@ -153,17 +145,13 @@ def _occupations(frequencies: np.ndarray, temperature: float) -> np.ndarray:
     return out
 
 
-def _weights(mismatch: np.ndarray, shape: Lineshape) -> np.ndarray:
-    """Vectorized lineshape weight with the exact window cut."""
-    out = np.zeros_like(mismatch)
-    inside = np.abs(mismatch) <= shape.halfwidth
-    d = mismatch[inside]
+def _weights(d: np.ndarray, shape: Lineshape) -> np.ndarray:
+    """Vectorized lineshape weight at mismatches the pruner kept, all inside
+    the window, so no cut is made here."""
     s = shape.sigma
     if shape.kind == "gaussian":
-        out[inside] = np.exp(-0.5 * (d / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
-    else:
-        out[inside] = (s / np.pi) / (d * d + s * s)
-    return out
+        return np.exp(-0.5 * (d / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+    return (s / np.pi) / (d * d + s * s)
 
 
 def _bose_product(
@@ -192,57 +180,54 @@ def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunks(
-    order: int,
     omega_ba: float,
     pattern: SignPattern,
     bath: PhononBath,
     shape: Lineshape,
-) -> Iterator[tuple[np.ndarray, ...]]:
+) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
     """Surviving tuples of one channel, a chunk at a time, as one index
-    array per phonon.
+    array per phonon and the tuples' mismatches.
 
     The tuples are strictly index-ordered, in lexicographic order, with
-    |((omega_ba + s0 w_i) + s1 w_j) + s2 w_k| <= window * sigma. Each inner
-    phonon extends every prefix by every later index. A chunk ends after
-    the prefix at which the running count of last-phonon candidates passes
-    a multiple of CHUNK, so it holds fewer than CHUNK + M candidates; empty
+    mismatch ((omega_ba + s0 w_i) + s1 w_j) + s2 w_k inside
+    [-window * sigma, window * sigma]; this is the only place the window is
+    cut. Every order starts from the empty prefix, and each phonon but the
+    last extends every prefix by every later index. A chunk ends after the
+    prefix at which the running count of last-phonon candidates passes a
+    multiple of CHUNK, so it holds fewer than CHUNK + M candidates; empty
     chunks are skipped.
     """
     m = bath.n_modes
-    if order == 2:
-        # the one-phonon sum is not pruned: it runs over every mode
-        for lo in range(0, m, CHUNK):
-            yield (np.arange(lo, min(lo + CHUNK, m)),)
-        return
     freqs = bath.frequencies
     signs = pattern.signs
     half = shape.halfwidth
-    prefix = [np.arange(m, dtype=np.int32)]
-    mismatch = omega_ba + signs[0] * freqs
-    for s in signs[1:-1]:
-        rows, nxt = _expand(prefix[-1] + 1, m)
-        prefix = [ix[rows] for ix in prefix] + [nxt]
-        mismatch = mismatch[rows] + s * freqs[nxt]
+    prefix, last, mismatch = [], np.full(1, -1), np.full(1, omega_ba)
+    for s in signs[:-1]:
+        rows, last = _expand(last + 1, m)
+        prefix = [ix[rows] for ix in prefix] + [last]
+        mismatch = mismatch[rows] + s * freqs[last]
     # the admissible s * w_last lies in [-half - mismatch, half - mismatch]
     s = signs[-1]
     lo, hi = (-half - mismatch, half - mismatch) if s == EMIT else (
         mismatch - half, mismatch + half)
-    start = np.maximum(np.searchsorted(freqs, lo, side="left"), prefix[-1] + 1)
+    start = np.maximum(np.searchsorted(freqs, lo, side="left"), last + 1)
     stop = np.searchsorted(freqs, hi, side="right")
     cuts = np.flatnonzero(np.diff(np.cumsum(np.maximum(stop - start, 0)) // CHUNK,
                                   prepend=0)) + 1
     for p0, p1 in zip([0, *cuts], [*cuts, start.size]):
-        rows, last = _expand(start[p0:p1], stop[p0:p1])
-        keep = np.abs(mismatch[p0:p1][rows] + s * freqs[last]) <= half
+        rows, ix = _expand(start[p0:p1], stop[p0:p1])
+        d = mismatch[p0:p1][rows] + s * freqs[ix]
+        keep = np.abs(d) <= half
         if keep.any():
             rows = rows[keep] + p0
-            yield tuple(ix[rows] for ix in prefix) + (last[keep],)
+            yield tuple(prev[rows] for prev in prefix) + (ix[keep],), d[keep]
 
 
 def prune_triples(
     omega_ba: float, pattern: SignPattern, bath: PhononBath, shape: Lineshape
-) -> list[TripleIndex]:
-    """Enumerate the mode triples alpha < beta < gamma inside the window.
+) -> np.ndarray:
+    """The mode triples alpha < beta < gamma inside the window, as rows of
+    an int32 array of shape (t, 3).
 
     Returns exactly the triples with |omega_ba + sum_i s_i omega_i| <=
     window * sigma, in lexicographic order, duplicate-free. The third
@@ -251,8 +236,8 @@ def prune_triples(
     """
     if len(pattern) != 3:
         raise ValueError("triple pruning requires a three-phonon sign pattern")
-    return [TripleIndex(*t) for sel in _chunks(6, omega_ba, pattern, bath, shape)
-            for t in zip(*(ix.tolist() for ix in sel))]
+    chunks = [np.column_stack(sel) for sel, _ in _chunks(omega_ba, pattern, bath, shape)]
+    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +438,11 @@ def rate_at_order(
     n_sums = len(occs) if limits is None else len(limits)
 
     omega_ba = system.transition_frequency(b, a)
-    freqs = bath.frequencies
     v = couplings.matrices
     source = None if _sources is None else _sources.get((order, a))
     if source is None:
         d_e = np.asarray(system.energies - system.energies[a])
-        source = _source_tables(order, a, d_e, freqs, v, shape.eta)
+        source = _source_tables(order, a, d_e, bath.frequencies, v, shape.eta)
         if _sources is not None:
             _sources[order, a] = source
     tab = source._replace(v_b=np.ascontiguousarray(v[:, b, :].T))
@@ -468,12 +452,9 @@ def rate_at_order(
     for pattern in sign_patterns(order // 2):
         signs = pattern.signs
         total = np.zeros(n_sums)
-        for sel in _chunks(order, omega_ba, pattern, bath, shape):
+        for sel, mismatch in _chunks(omega_ba, pattern, bath, shape):
             amp2, min_abs = _amp2(sel, signs, tab)
             min_abs_all = min(min_abs_all, min_abs)
-            mismatch = omega_ba
-            for s, ix in zip(signs, sel):
-                mismatch = mismatch + s * freqs[ix]
             line = _weights(mismatch, shape)
             if limits is None:
                 partial = np.array([

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinphonon.cli import run_cli
 
@@ -152,6 +157,24 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 3),
+       n_modes=st.integers(3, 12), lineshape=st.sampled_from(["gaussian", "lorentzian"]))
+def test_stdout_is_identical_on_repeat_and_across_threads(seed, n_states, n_modes,
+                                                          lineshape):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = gen_model_file(Path(tmp), seed=seed, n_states=n_states, n_modes=n_modes)
+        for command in (["rates", "--orders", "2,4,6"], ["t1"]):
+            outs = []
+            for threads in ("1", "1", "2"):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = run_cli([*command, "--input", str(model), "--threads", threads,
+                                    "--lineshape", lineshape])
+                assert code == 0
+                outs.append(out.getvalue().encode())
+            assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
 class TestOracleCheck:
     def test_oracle_check_passes(self, capsys):
         code = run_cli(["oracle-check", "--seed", "7", "--n-modes", "12",
@@ -262,6 +285,20 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "scale" in captured.err
+
+    # 7 PiB: beyond any address space, so the allocation fails untouched
+    @pytest.mark.parametrize("command", [
+        ["sweep-temp", "--input", "MODEL", "--grid", "5:400:1000000000000000"],
+        ["gen-model", "--seed", "1", "--n-modes", "1000000000000000", "--output", "OUT"],
+    ])
+    def test_request_too_large_to_allocate_exits_1(self, tmp_path, capsys, command):
+        model = gen_model_file(tmp_path)
+        paths = {"MODEL": str(model), "OUT": str(tmp_path / "huge.json")}
+        assert run_cli([paths.get(tok, tok) for tok in command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     @pytest.mark.parametrize("command", [

@@ -35,7 +35,6 @@ from spinphonon import (
     sweep_temperature,
     with_coupling_scale,
 )
-from spinphonon.rates import TripleIndex
 
 from conftest import hermitian, max_channel_dev, two_level_resonant_model
 
@@ -165,7 +164,7 @@ class TestPruneTriples:
         bath = PhononBath([math.e, math.pi, math.sqrt(31.0), 7.1234567])
         shape = Lineshape(sigma=1e-9)
         for pattern in sign_patterns(3):
-            assert prune_triples(0.123, pattern, bath, shape) == []
+            assert prune_triples(0.123, pattern, bath, shape).shape == (0, 3)
 
     def test_matches_brute_force_on_random_bath(self, monkeypatch):
         from spinphonon import rates
@@ -185,8 +184,9 @@ class TestPruneTriples:
         ]
         shape = Lineshape(sigma=7.0)
         n_chunks = dict.fromkeys((1, 5, rates.CHUNK), 0)
+        # at -62 the integer bath puts single modes 20 and 104 on the window edge
         for freqs, order, omega_ba in itertools.product(
-                baths, (4, 6), (-120.0, 0.4, 35.0)):
+                baths, (2, 4, 6), (-120.0, -62.0, 0.4, 35.0)):
             bath = PhononBath(freqs)
             tuples = np.array(list(itertools.combinations(range(freqs.size), order // 2)),
                               dtype=int).reshape(-1, order // 2)
@@ -194,18 +194,38 @@ class TestPruneTriples:
                 arg = omega_ba
                 for s, k in zip(pattern.signs, tuples.T):
                     arg = arg + s * freqs[k]
-                expected = [tuple(t) for t in tuples[np.abs(arg) <= shape.halfwidth].tolist()]
+                expected = tuples[np.abs(arg) <= shape.halfwidth]
                 for chunk in n_chunks:
                     monkeypatch.setattr(rates, "CHUNK", chunk)
-                    chunks = list(rates._chunks(order, omega_ba, pattern, bath, shape))
+                    chunks = list(rates._chunks(omega_ba, pattern, bath, shape))
                     n_chunks[chunk] = max(n_chunks[chunk], len(chunks))
-                    got = [t for sel in chunks for t in zip(*(ix.tolist() for ix in sel))]
-                    assert got == expected, (chunk, freqs.size, order, omega_ba,
-                                             pattern.label)
+                    got = [np.column_stack(sel) for sel, _ in chunks]
+                    assert np.array_equal(np.concatenate([expected[:0], *got]), expected), (
+                        chunk, freqs.size, order, omega_ba, pattern.label)
                     if order == 6:
-                        assert prune_triples(omega_ba, pattern, bath, shape) == [
-                            TripleIndex(*t) for t in expected]
+                        assert np.array_equal(
+                            prune_triples(omega_ba, pattern, bath, shape), expected)
         assert min(n_chunks.values()) > 1
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+    def test_chunks_yield_the_left_fold_mismatch_of_each_tuple(self, kind):
+        from spinphonon import rates
+
+        model = generate_model(ModelSpec(seed=12, n_states=2, n_modes=40,
+                                         freq_range=(20.0, 200.0)))
+        freqs = model.bath.frequencies
+        shape = Lineshape(kind=kind, sigma=7.0)
+        for (b, a), order in itertools.product(((1, 0), (0, 1)), (2, 4, 6)):
+            omega_ba = model.system.transition_frequency(b, a)
+            for pattern in sign_patterns(order // 2):
+                for sel, mismatch in rates._chunks(omega_ba, pattern,
+                                                   model.bath, shape):
+                    fold = omega_ba
+                    for s, ix in zip(pattern.signs, sel):
+                        fold = fold + s * freqs[ix]
+                    assert mismatch.dtype == fold.dtype == np.float64
+                    assert np.array_equal(mismatch.view(np.int64), fold.view(np.int64))
+                    assert np.all(np.abs(mismatch) <= shape.halfwidth)
 
     def test_chunks_hold_fewer_than_chunk_plus_m_tuples(self):
         from spinphonon import rates
@@ -218,8 +238,8 @@ class TestPruneTriples:
         most = {}
         for order in (2, 4, 6):
             for pattern in sign_patterns(order // 2):
-                sizes = [sel[0].size for sel in
-                         rates._chunks(order, omega_ba, pattern, model.bath, shape)]
+                sizes = [sel[0].size for sel, _ in
+                         rates._chunks(omega_ba, pattern, model.bath, shape)]
                 assert all(0 < size < rates.CHUNK + m for size in sizes)
                 most[order] = max(most.get(order, 0), len(sizes))
         # the bound only says something about channels that have been cut
@@ -229,8 +249,8 @@ class TestPruneTriples:
         bath = PhononBath([10.0, 20.0, 30.0, 40.0])
         shape = Lineshape(sigma=50.0)
         for pattern in sign_patterns(3):
-            for tr in prune_triples(5.0, pattern, bath, shape):
-                assert tr.alpha < tr.beta < tr.gamma
+            for alpha, beta, gamma in prune_triples(5.0, pattern, bath, shape):
+                assert alpha < beta < gamma
 
 
 class TestRateThreePhonon:
