@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import Lineshape, Model, validate_model
-from .rates import rate_at_order
+from .rates import _check_points, _rates, _source_of
 
 _VALID_ORDERS = (2, 4, 6)
 
@@ -96,28 +96,29 @@ def order_generator_matrices(
 
     At one point each matrix is N x N. Points given as in ``rate_at_order``
     (a temperature list, ``mode_limits`` or ``scales``) stack the matrices
-    along a leading axis, one per point, from one rate call per transition
-    and order.
+    along a leading axis, one per point, from one multi-point pass per
+    transition pair and order.
     """
     validate_model(model)
     orders = _check_orders(orders)
     system, bath, couplings = model
     n = system.n_states
-    single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
+    points = _check_points(temperature, mode_limits, scales, bath)
     out: dict[int, np.ndarray] = {}
     for order in orders:
         per_point = {}
-        for a in range(n):
-            # the first call from a builds its tables; the other destinations
-            # reuse them, and they are freed before the next source's
-            sources: dict = {}
-            for b in range(n):
-                if b != a:
-                    rates = rate_at_order(
-                        order, b, a, system, bath, couplings, temperature, shape,
-                        mode_limits=mode_limits, scales=scales, _sources=sources,
-                    )
-                    per_point[b, a] = [rates] if single else rates
+        for a in range(n - 1):
+            # one pruning pass per pair {a, b} gives b <- a and a <- b; a's
+            # tables serve all its pairs and b's only one, so at most two
+            # sets are alive
+            source = _source_of(order, a, system, bath, couplings, shape)
+            for b in range(a + 1, n):
+                per_point[b, a], per_point[a, b] = _rates(
+                    order, system.transition_frequency(b, a),
+                    [(source, b, 1),
+                     (_source_of(order, b, system, bath, couplings, shape), a, -1)],
+                    bath, couplings, shape, points,
+                )
         matrices = []
         for point in range(len(per_point[1, 0])):
             m = np.zeros((n, n))
@@ -126,7 +127,7 @@ def order_generator_matrices(
             for a in range(n):
                 m[a, a] = -m[:, a].sum()
             matrices.append(m)
-        out[order] = matrices[0] if single else np.stack(matrices)
+        out[order] = matrices[0] if points.single else np.stack(matrices)
     return out
 
 

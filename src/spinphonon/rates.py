@@ -29,9 +29,9 @@ the chunk partial sums are added in chunk order, so results are bit-stable
 from run to run. The ``threads`` argument of the public rate functions is
 validated (at least 1) and otherwise ignored.
 
-Before its chunk loop, a call of one transition b <- a tabulates its
-source's amplitudes as one recursion over levels, each adding one mode and
-one denominator. Level 0 is the table (): the one-hot column of state a.
+Before its chunk loop, a rate call tabulates its source's amplitudes as
+one recursion over levels, each adding one mode and one denominator.
+Level 0 is the table (): the one-hot column of state a.
 For the signs s of an ascending mode set Q, level |Q| holds T_s[c; Q], the
 sum over m in Q, ascending, of sum_d V^m[c, d] T_s'[d; Q - m] (s' drops the
 sign of m), divided by D_c(Q) = E_c - E_a + sum_Q s_q w_q + i eta. Level 1
@@ -40,10 +40,16 @@ upper triangle per sign pair. Each entry carries the smallest |real
 denominator| of everything it contains. With M modes and n states, order 6
 keeps n + 2 M n + (2 M^2 - 2 M) n complex numbers (about 5.8 MB at M = 300,
 n = 2, 11.5 MB at n = 4) plus 2 M^2 reals of minima (1.4 MB at M = 300),
-shared read-only by all chunks and built once per source state, since they
-do not depend on b. At every order, the amplitude of a k-tuple is the sum
-over its first mode p of V^p[b, :] dotted with the level-(k - 1) entry of
-the other modes: one gather and one n-term dot per first mode, no division.
+shared read-only by all chunks. At every order, the amplitude of a k-tuple
+is the sum over its first mode p of V^p[b, :] dotted with the level-(k - 1)
+entry of the other modes: one gather and one n-term dot per first mode, no
+division.
+
+The tables do not depend on b, and channel -s of a <- b keeps the tuples of
+channel s of b <- a at exactly negated mismatches, so a generator walks the
+unordered pairs {a, b} and evaluates both directions on every chunk of
+b <- a, each with its own source's tables. The tables of a serve all its
+pairs a < b and those of b one pair, so two sets are alive at once.
 """
 
 from __future__ import annotations
@@ -132,13 +138,15 @@ def _check_transition(b: int, a: int, n_states: int) -> None:
 
 
 def _occupations(frequencies: np.ndarray, temperature: float) -> np.ndarray:
-    """Bose occupations per mode; exact 0 where the exponent underflows.
+    """Bose occupations per mode; exact 0 where the exponent underflows the
+    occupation or overflows itself (temperatures of order 1e-306 K and below).
 
     Every temperature a rate is evaluated at passes through here.
     """
     if not (math.isfinite(temperature) and temperature > 0.0):
         raise ValueError(f"temperature must be finite and positive, got {temperature}")
-    x = frequencies / (BOLTZMANN_CM_PER_K * temperature)
+    with np.errstate(over="ignore"):
+        x = frequencies / (BOLTZMANN_CM_PER_K * temperature)
     out = np.zeros_like(x)
     small = x <= _EXP_ARG_MAX
     out[small] = 1.0 / np.expm1(x[small])
@@ -345,16 +353,28 @@ def _caller_stacklevel() -> int:
     return level - (frame is not None and frame.f_globals.get("__name__") == "runpy")
 
 
+class _Points(NamedTuple):
+    """Validated points of one rate evaluation (see ``rate_at_order``)."""
+
+    #: Bose occupations per mode, one array per temperature
+    occs: list[np.ndarray]
+    limits: np.ndarray | None
+    scales: list[float] | None
+    #: one point given as scalars, reported as one RateBreakdown
+    single: bool
+
+
 def _check_points(
-    temperatures: np.ndarray,
+    temperature: float | Sequence[float],
     mode_limits: Sequence[int] | None,
     scales: Sequence[float] | None,
-    n_modes: int,
-) -> tuple[np.ndarray | None, list[float] | None]:
-    """Validated mode limits and scales; at most one axis may hold several points.
+    bath: PhononBath,
+) -> _Points:
+    """Validated points; at most one axis may hold several.
 
     Temperatures are checked one by one where their occupations are formed.
     """
+    temperatures = np.asarray(temperature, dtype=float)
     axes = (temperatures.ndim != 0) + (mode_limits is not None) + (scales is not None)
     if temperatures.ndim > 1 or axes > 1:
         raise ValueError(
@@ -368,11 +388,11 @@ def _check_points(
         limits = np.asarray(mode_limits)
         if (limits.ndim != 1 or not limits.size
                 or not np.issubdtype(limits.dtype, np.integer)
-                or np.any(limits < 0) or np.any(limits > n_modes)
+                or np.any(limits < 0) or np.any(limits > bath.n_modes)
                 or np.any(np.diff(limits) < 0)):
             raise ValueError(
                 "mode_limits must be a non-empty, non-decreasing 1-d list of "
-                f"integers in [0, {n_modes}]"
+                f"integers in [0, {bath.n_modes}]"
             )
     if scales is not None:
         scales = np.asarray(scales, dtype=float)
@@ -383,7 +403,89 @@ def _check_points(
                 "positive numbers"
             )
         scales = scales.tolist()
-    return limits, scales
+    occs = [_occupations(bath.frequencies, float(t))
+            for t in np.atleast_1d(temperatures)]
+    return _Points(occs, limits, scales, axes == 0)
+
+
+def _source_of(order: int, a: int, system: SpinSystem, bath: PhononBath,
+               couplings: CouplingSet, shape: Lineshape) -> _Tables:
+    """The source tables of every transition out of a at this order."""
+    d_e = np.asarray(system.energies - system.energies[a])
+    return _source_tables(order, a, d_e, bath.frequencies, couplings.matrices,
+                          shape.eta)
+
+
+def _rates(
+    order: int,
+    omega_ba: float,
+    directions: Sequence[tuple[_Tables, int, int]],
+    bath: PhononBath,
+    couplings: CouplingSet,
+    shape: Lineshape,
+    points: _Points,
+) -> list[list[RateBreakdown]]:
+    """The rates of b <- a, and of a <- b too, at every point, from one
+    pruning pass over the channels of b <- a: one list of breakdowns per
+    direction.
+
+    A direction is (source tables, destination, flip): the tables of a,
+    destination b and flip 1 for b <- a itself; the tables of b,
+    destination a and flip -1 for a <- b. Channel -s of a <- b keeps the
+    tuples of channel s of b <- a, in the same chunks, at exactly negated
+    mismatches, and both lineshapes are even, so each chunk's weights serve
+    both directions. Each direction takes its own amplitudes and Bose
+    factors with signs flip * s, sums its chunks in chunk order and warns on
+    its own smallest |denominator|, so its rates and warning are those of a
+    call of its own.
+    """
+    v = couplings.matrices
+    tabs = [source._replace(v_b=np.ascontiguousarray(v[:, dest, :].T))
+            for source, dest, _ in directions]
+    n_sums = len(points.occs) if points.limits is None else len(points.limits)
+    sums: list[dict[SignPattern, np.ndarray]] = [{} for _ in tabs]
+    min_abs = [np.inf] * len(tabs)
+    for pattern in sign_patterns(order // 2):
+        signs = [tuple(flip * s for s in pattern.signs) for *_, flip in directions]
+        totals = [np.zeros(n_sums) for _ in tabs]
+        for sel, mismatch in _chunks(omega_ba, pattern, bath, shape):
+            line = _weights(mismatch, shape)
+            for k, tab in enumerate(tabs):
+                amp2, low = _amp2(sel, signs[k], tab)
+                min_abs[k] = min(min_abs[k], low)
+                if points.limits is None:
+                    partial = np.array([
+                        np.sum(amp2 * (_bose_product(occ, sel, signs[k]) * line))
+                        for occ in points.occs
+                    ])
+                else:
+                    # bin by the first limit admitting the tuple's largest mode;
+                    # tuples no limit admits land in the dropped last bin
+                    bose = _bose_product(points.occs[0], sel, signs[k])
+                    contrib = amp2 * (bose * line)
+                    first = np.searchsorted(points.limits, sel[-1], side="right")
+                    binned = np.bincount(first, weights=contrib, minlength=n_sums + 1)
+                    partial = np.cumsum(binned[:n_sums])
+                totals[k] = totals[k] + partial
+        for k, total in enumerate(totals):
+            sums[k][SignPattern(signs[k])] = total
+    out = []
+    for channel_sums, low in zip(sums, min_abs):
+        if low < shape.eta / 10.0:
+            warnings.warn(
+                f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of "
+                f"zero (|x| = {low:.3e} cm^-1)",
+                NearResonantDenominatorWarning,
+                stacklevel=_caller_stacklevel(),
+            )
+        per_point = [{p: float(s[k]) for p, s in channel_sums.items()}
+                     for k in range(n_sums)]
+        if points.scales is None:
+            out.append([_breakdown(order, point, couplings.scale)
+                        for point in per_point])
+        else:
+            out.append([_breakdown(order, per_point[0], lam) for lam in points.scales])
+    return out
 
 
 def rate_at_order(
@@ -399,7 +501,6 @@ def rate_at_order(
     *,
     mode_limits: Sequence[int] | None = None,
     scales: Sequence[float] | None = None,
-    _sources: dict | None = None,
 ) -> RateBreakdown | list[RateBreakdown]:
     """Rate R_ba of the given perturbative order (2, 4, or 6), at one point or many.
 
@@ -421,69 +522,18 @@ def rate_at_order(
     scale are bit-identical to a one-point call there; mode-limit points
     agree with ``restrict_bath`` to rounding, since their sums run in
     another order. ``threads`` must be at least 1 and is otherwise ignored:
-    the kernel runs on the calling thread. ``_sources`` is private to
-    ``order_generator_matrices``, whose calls from one source share the
-    b-independent tables through it: it maps (order, a) to source tables,
-    and the call reuses an entry or adds the one it builds. Only calls on
-    the same model and lineshape may share the dict.
+    the kernel runs on the calling thread.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if order not in _PHONONS:
         raise ValueError(f"order must be 2, 4, or 6, got {order}")
     _check_transition(b, a, system.n_states)
-    temps = np.asarray(temperature, dtype=float)
-    limits, scales = _check_points(temps, mode_limits, scales, bath.n_modes)
-    occs = [_occupations(bath.frequencies, float(t)) for t in np.atleast_1d(temps)]
-    n_sums = len(occs) if limits is None else len(limits)
-
-    omega_ba = system.transition_frequency(b, a)
-    v = couplings.matrices
-    source = None if _sources is None else _sources.get((order, a))
-    if source is None:
-        d_e = np.asarray(system.energies - system.energies[a])
-        source = _source_tables(order, a, d_e, bath.frequencies, v, shape.eta)
-        if _sources is not None:
-            _sources[order, a] = source
-    tab = source._replace(v_b=np.ascontiguousarray(v[:, b, :].T))
-
-    sums: dict[SignPattern, np.ndarray] = {}
-    min_abs_all = np.inf
-    for pattern in sign_patterns(order // 2):
-        signs = pattern.signs
-        total = np.zeros(n_sums)
-        for sel, mismatch in _chunks(omega_ba, pattern, bath, shape):
-            amp2, min_abs = _amp2(sel, signs, tab)
-            min_abs_all = min(min_abs_all, min_abs)
-            line = _weights(mismatch, shape)
-            if limits is None:
-                partial = np.array([
-                    np.sum(amp2 * (_bose_product(occ, sel, signs) * line))
-                    for occ in occs
-                ])
-            else:
-                # bin by the first limit admitting the tuple's largest mode;
-                # tuples no limit admits land in the dropped last bin
-                contrib = amp2 * (_bose_product(occs[0], sel, signs) * line)
-                first = np.searchsorted(limits, sel[-1], side="right")
-                binned = np.bincount(first, weights=contrib, minlength=n_sums + 1)
-                partial = np.cumsum(binned[:n_sums])
-            total = total + partial
-        sums[pattern] = total
-    if min_abs_all < shape.eta / 10.0:
-        warnings.warn(
-            f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of zero "
-            f"(|x| = {min_abs_all:.3e} cm^-1)",
-            NearResonantDenominatorWarning,
-            stacklevel=_caller_stacklevel(),
-        )
-    per_point = [{p: float(s[k]) for p, s in sums.items()} for k in range(n_sums)]
-    if scales is None:
-        points = [_breakdown(order, point, couplings.scale) for point in per_point]
-    else:
-        points = [_breakdown(order, per_point[0], lam) for lam in scales]
-    single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
-    return points[0] if single else points
+    points = _check_points(temperature, mode_limits, scales, bath)
+    source = _source_of(order, a, system, bath, couplings, shape)
+    (rates,) = _rates(order, system.transition_frequency(b, a), [(source, b, 1)],
+                      bath, couplings, shape, points)
+    return rates[0] if points.single else rates
 
 
 # ---------------------------------------------------------------------------

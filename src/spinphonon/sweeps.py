@@ -2,12 +2,13 @@
 
 Each sweep returns one T1 series per requested perturbative order, with
 ``math.inf`` marking points where nothing relaxes. A sweep makes one
-multi-point rate call per transition and order, so every surviving
-tuple's amplitude is evaluated once and reduced against all the sweep's
-points. Order-2k rates carry the global coupling multiplier as the exact
-factor lambda**(2k): the coupling-scale sweep rescales one set of channel
-sums, and the crossover, the scale at which the two- and three-phonon
-rates coincide, is the closed form sqrt(r4 / r6) of the rates at scale 1.
+multi-point pass per transition pair and order, so every surviving
+tuple's amplitude is evaluated once per direction and reduced against all
+the sweep's points. Order-2k rates carry the global coupling multiplier as
+the exact factor lambda**(2k): the coupling-scale sweep rescales one set
+of channel sums, and the crossover, the scale at which the two- and
+three-phonon rates coincide, is the closed form sqrt(r4 / r6) of the rates
+at scale 1.
 """
 
 from __future__ import annotations

@@ -50,6 +50,18 @@ class TestBasicCommands:
         value = float(capsys.readouterr().out.strip())
         assert 0.0 < value < math.inf
 
+    @pytest.mark.parametrize("tiny", ["1e-306", "1e-320"])
+    def test_t1_at_a_tiny_temperature(self, tmp_path, capsys, tiny):
+        """Every mode is empty, as at 1e-3 K, and nothing is printed to stderr."""
+        model = gen_model_file(tmp_path, seed=1, n_modes=10)
+        printed = []
+        for temp in (tiny, "1e-3"):
+            assert run_cli(["t1", "--input", str(model), "--temp", temp]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(captured.out)
+        assert printed[0] == printed[1]
+
     def test_rates_output(self, tmp_path, capsys):
         model = gen_model_file(tmp_path)
         code = run_cli(["rates", "--input", str(model), "--orders", "2,4",

@@ -2,11 +2,13 @@
 temperatures, mode limits or coupling scales, and the sweeps built on it."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from spinphonon import (
+    BOLTZMANN_CM_PER_K,
     Lineshape,
     ModelSpec,
     assemble_generator,
@@ -27,7 +29,7 @@ from spinphonon import (
     sweep_temperature,
     with_coupling_scale,
 )
-from spinphonon import dynamics, sweeps
+from spinphonon import rates
 from spinphonon.dynamics import RateGenerator
 
 from conftest import max_channel_dev
@@ -157,35 +159,59 @@ class TestFindCrossover:
         assert find_crossover(small_model, 300.0, shape) == crossover_scale(r4, r6)
 
 
-class TestOneKernelCallPerTransitionAndOrder:
+class TestOnePruningPassPerPairAndOrder:
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def passes(self, monkeypatch):
         seen = []
+        chunks = rates._chunks
 
-        def counting(*args, **kwargs):
-            seen.append(args[0])
-            return rate_at_order(*args, **kwargs)
+        def counting(omega_ba, pattern, *args):
+            seen.append(len(pattern))
+            return chunks(omega_ba, pattern, *args)
 
-        monkeypatch.setattr(dynamics, "rate_at_order", counting)
-        monkeypatch.setattr(sweeps, "rate_at_order", counting)
+        monkeypatch.setattr(rates, "_chunks", counting)
         return seen
 
-    def test_sweeps(self, shape, calls):
-        model = two_level_model()
-        sweep_temperature(model, np.geomspace(5.0, 400.0, 6), (4, 6), shape)
-        assert sorted(calls) == [4, 4, 6, 6]
-        calls.clear()
-        sweep_cutoff(model, np.linspace(50.0, 200.0, 5), 6, 300.0, shape)
-        assert calls == [6, 6]
-        calls.clear()
-        sweep_lambda(model, np.geomspace(0.5, 64.0, 5), (4, 6), 300.0, shape)
-        assert sorted(calls) == [4, 4, 6, 6]
-        calls.clear()
-        find_crossover(model, 300.0, shape)
-        assert calls == [4, 6]
+    def test_sweeps(self, shape, small_model, passes):
+        """Each pair {a, b} prunes each channel once for b <- a and a <- b
+        together, at every point of the sweep."""
+        for model, pairs in ((two_level_model(), 1), (small_model, 3)):
+            def channels(*orders):
+                """Phonon count of every channel of ``orders``, once per pair."""
+                return sorted(k // 2 for k in orders
+                              for _ in range(pairs * 2 ** (k // 2)))
+
+            sweep_temperature(model, np.geomspace(5.0, 400.0, 6), (4, 6), shape)
+            assert sorted(passes) == channels(4, 6)
+            passes.clear()
+            sweep_cutoff(model, np.linspace(50.0, 200.0, 5), 6, 300.0, shape)
+            assert passes == channels(6)
+            passes.clear()
+            sweep_lambda(model, np.geomspace(0.5, 64.0, 5), (4, 6), 300.0, shape)
+            assert sorted(passes) == channels(4, 6)
+            passes.clear()
+            find_crossover(model, 300.0, shape)
+            assert sorted(passes) == channels(4, 6)
+            passes.clear()
 
 
 class TestPointValidation:
+    @pytest.mark.parametrize("tiny", [1e-306, 1e-320])
+    def test_tiny_temperatures_leave_every_mode_empty(self, shape, tiny):
+        """The Bose exponent overflows below about 1e-306 K; the occupations
+        are then exact zeros, as at 1e-3 K, with no numpy warning."""
+        model = two_level_model()
+        # some mode's exponent w / (k_B T) overflows
+        k_t = BOLTZMANN_CM_PER_K * tiny
+        assert np.any(model.bath.frequencies > sys.float_info.max * k_t)
+        for b, a in ((1, 0), (0, 1)):
+            for order in (6, 4, 2):
+                cold = rate_at_order(order, b, a, *model, 1e-3, shape)
+                assert rate_at_order(order, b, a, *model, tiny, shape).per_channel == (
+                    cold.per_channel)
+            # nothing is left to absorb
+            assert cold.channel("+") > 0.0 and cold.channel("-") == 0.0
+
     def test_non_finite_temperatures_rejected(self, shape, small_model):
         for bad in (math.inf, math.nan, -math.inf):
             with pytest.raises(ValueError, match="finite"):

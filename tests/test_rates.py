@@ -2,6 +2,8 @@ import itertools
 import math
 import threading
 import warnings
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -547,23 +549,58 @@ class TestPairTables:
         entries = sum(x.size for x in tab.tables.values())
         assert entries <= 2 * m * n + 2 * m * m * n
 
-    def test_generator_builds_one_table_set_per_source(self, shape, monkeypatch):
-        from spinphonon import order_generator_matrices, rate_at_order, rates
+    @pytest.mark.parametrize("points", ["one", "temperatures", "mode_limits", "scales"])
+    @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    def test_generator_walks_pairs_with_two_table_sets_alive(self, monkeypatch,
+                                                             n_states, kind, points):
+        """Pair {a, b} builds b's tables beside a's, which serve all of a's
+        pairs: 9 builds per order at n = 4, never more than two sets alive.
+        Every entry and warning is that of a standalone rate call."""
+        from spinphonon import (NearResonantDenominatorWarning, order_generator_matrices,
+                                rate_at_order, rates)
 
-        model = generate_model(ModelSpec(seed=22, n_states=4, n_modes=10, gap=5.0,
+        model = generate_model(ModelSpec(seed=22, n_states=n_states, n_modes=10, gap=5.0,
                                          excited_offset=30.0,
                                          freq_range=(20.0, 150.0)))
-        builds = []
+        # eta = sigma: some transitions warn of a near-resonant denominator
+        shape = Lineshape(kind=kind, eta=10.0)
+        temperature, kwargs = {
+            "one": (280.0, {}),
+            "temperatures": ([40.0, 280.0, 700.0], {}),
+            "mode_limits": (280.0, {"mode_limits": [0, 4, 7, 10]}),
+            "scales": (280.0, {"scales": [0.5, 3.0]}),
+        }[points]
+        builds, alive = [], []
         build = rates._source_tables
 
         def counting(order, a, *args):
+            assert sum(ref() is not None for ref in alive) <= 1
             builds.append((order, a))
-            return build(order, a, *args)
+            tab = build(order, a, *args)
+            alive.append(weakref.ref(tab.tables[()]))
+            return tab
+
+        def near_resonant(caught):
+            return Counter(str(w.message) for w in caught
+                           if issubclass(w.category, NearResonantDenominatorWarning))
 
         monkeypatch.setattr(rates, "_source_tables", counting)
-        matrix = order_generator_matrices(model, 280.0, shape, (6,))[6]
-        assert builds == [(6, a) for a in range(4)]
-        for b, a in itertools.permutations(range(4), 2):
-            alone = rate_at_order(6, b, a, *model, 280.0, shape)
-            assert alone.total > 0.0
-            assert matrix[b, a] == alone.total
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NearResonantDenominatorWarning)
+            matrices = order_generator_matrices(model, temperature, shape, **kwargs)
+        assert builds == [(order, c) for order in (2, 4, 6) for a in range(n_states - 1)
+                          for c in (a, *range(a + 1, n_states))]
+        assert len(builds) == 3 * {2: 2, 3: 5, 4: 9}[n_states]
+        with warnings.catch_warnings(record=True) as caught_alone:
+            warnings.simplefilter("always", NearResonantDenominatorWarning)
+            for order, matrix in matrices.items():
+                per_point = matrix if matrix.ndim == 3 else [matrix]
+                for b, a in itertools.permutations(range(n_states), 2):
+                    alone = rate_at_order(order, b, a, *model, temperature, shape,
+                                          **kwargs)
+                    alone = alone if isinstance(alone, list) else [alone]
+                    assert alone[-1].total > 0.0
+                    assert [m[b, a] for m in per_point] == [r.total for r in alone]
+        assert near_resonant(caught) == near_resonant(caught_alone)
+        assert sum(near_resonant(caught).values()) > 0
