@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import Lineshape, Model, validate_model
-from .rates import _check_points, _rates, _source_of
+from .rates import rate_at_order
 
 _VALID_ORDERS = (2, 4, 6)
 
@@ -103,22 +103,23 @@ def order_generator_matrices(
     orders = _check_orders(orders)
     system, bath, couplings = model
     n = system.n_states
-    points = _check_points(temperature, mode_limits, scales, bath)
+    single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
     out: dict[int, np.ndarray] = {}
     for order in orders:
         per_point = {}
         for a in range(n - 1):
-            # one pruning pass per pair {a, b} gives b <- a and a <- b; a's
-            # tables serve all its pairs and b's only one, so at most two
-            # sets are alive
-            source = _source_of(order, a, system, bath, couplings, shape)
+            # one pruning pass per pair {a, b}: the call for b <- a also
+            # makes a <- b, with b's tables, and leaves it in `pair` for the
+            # next call; a's tables serve all its pairs and b's only one, so
+            # at most two sets are alive
+            pair: dict = {}
             for b in range(a + 1, n):
-                per_point[b, a], per_point[a, b] = _rates(
-                    order, system.transition_frequency(b, a),
-                    [(source, b, 1),
-                     (_source_of(order, b, system, bath, couplings, shape), a, -1)],
-                    bath, couplings, shape, points,
-                )
+                for dest, source in ((b, a), (a, b)):
+                    rates = rate_at_order(
+                        order, dest, source, system, bath, couplings, temperature,
+                        shape, mode_limits=mode_limits, scales=scales, _pair=pair,
+                    )
+                    per_point[dest, source] = [rates] if single else rates
         matrices = []
         for point in range(len(per_point[1, 0])):
             m = np.zeros((n, n))
@@ -127,7 +128,7 @@ def order_generator_matrices(
             for a in range(n):
                 m[a, a] = -m[:, a].sum()
             matrices.append(m)
-        out[order] = matrices[0] if points.single else np.stack(matrices)
+        out[order] = matrices[0] if single else np.stack(matrices)
     return out
 
 

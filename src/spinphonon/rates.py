@@ -48,8 +48,10 @@ division.
 The tables do not depend on b, and channel -s of a <- b keeps the tuples of
 channel s of b <- a at exactly negated mismatches, so a generator walks the
 unordered pairs {a, b} and evaluates both directions on every chunk of
-b <- a, each with its own source's tables. The tables of a serve all its
-pairs a < b and those of b one pair, so two sets are alive at once.
+b <- a, each with its own source's tables: its call for b <- a makes
+a <- b too and hands it to its call for a <- b. The tables of a serve
+all its pairs a < b and those of b one pair, so two sets are alive at
+once.
 """
 
 from __future__ import annotations
@@ -419,7 +421,7 @@ def _source_of(order: int, a: int, system: SpinSystem, bath: PhononBath,
 def _rates(
     order: int,
     omega_ba: float,
-    directions: Sequence[tuple[_Tables, int, int]],
+    sources: Sequence[tuple[_Tables, int]],
     bath: PhononBath,
     couplings: CouplingSet,
     shape: Lineshape,
@@ -427,26 +429,26 @@ def _rates(
 ) -> list[list[RateBreakdown]]:
     """The rates of b <- a, and of a <- b too, at every point, from one
     pruning pass over the channels of b <- a: one list of breakdowns per
-    direction.
+    source.
 
-    A direction is (source tables, destination, flip): the tables of a,
-    destination b and flip 1 for b <- a itself; the tables of b,
-    destination a and flip -1 for a <- b. Channel -s of a <- b keeps the
-    tuples of channel s of b <- a, in the same chunks, at exactly negated
-    mismatches, and both lineshapes are even, so each chunk's weights serve
-    both directions. Each direction takes its own amplitudes and Bose
-    factors with signs flip * s, sums its chunks in chunk order and warns on
-    its own smallest |denominator|, so its rates and warning are those of a
-    call of its own.
+    Each source is (tables, destination): first the tables of a with
+    destination b, whose channels take the signs s; then, optionally, the
+    tables of b with destination a, whose channels take the signs -s.
+    Channel -s of a <- b keeps the tuples of channel s of b <- a, in the
+    same chunks, at exactly negated mismatches, and both lineshapes are
+    even, so each chunk's weights serve both directions. Each direction
+    takes its own amplitudes and Bose factors, sums its chunks in chunk
+    order and warns on its own smallest |denominator|, so its rates and
+    warning are those of a call of its own.
     """
     v = couplings.matrices
-    tabs = [source._replace(v_b=np.ascontiguousarray(v[:, dest, :].T))
-            for source, dest, _ in directions]
+    tabs = [tables._replace(v_b=np.ascontiguousarray(v[:, dest, :].T))
+            for tables, dest in sources]
     n_sums = len(points.occs) if points.limits is None else len(points.limits)
     sums: list[dict[SignPattern, np.ndarray]] = [{} for _ in tabs]
     min_abs = [np.inf] * len(tabs)
     for pattern in sign_patterns(order // 2):
-        signs = [tuple(flip * s for s in pattern.signs) for *_, flip in directions]
+        signs = [pattern.signs, tuple(-s for s in pattern.signs)]
         totals = [np.zeros(n_sums) for _ in tabs]
         for sel, mismatch in _chunks(omega_ba, pattern, bath, shape):
             line = _weights(mismatch, shape)
@@ -501,6 +503,7 @@ def rate_at_order(
     *,
     mode_limits: Sequence[int] | None = None,
     scales: Sequence[float] | None = None,
+    _pair: dict | None = None,
 ) -> RateBreakdown | list[RateBreakdown]:
     """Rate R_ba of the given perturbative order (2, 4, or 6), at one point or many.
 
@@ -523,17 +526,37 @@ def rate_at_order(
     agree with ``restrict_bath`` to rounding, since their sums run in
     another order. ``threads`` must be at least 1 and is otherwise ignored:
     the kernel runs on the calling thread.
+
+    ``_pair`` is private to ``order_generator_matrices``, which passes one
+    dict per source a to the calls b <- a and then a <- b of each pair
+    a < b. The call b <- a builds a's tables on its first use and keeps
+    them there; it builds b's tables for itself, evaluates a <- b in its
+    own pruning pass and leaves that result there, under (a, b), for the
+    call a <- b to take. Only calls at the same order, model, lineshape
+    and points may share the dict.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if order not in _PHONONS:
         raise ValueError(f"order must be 2, 4, or 6, got {order}")
     _check_transition(b, a, system.n_states)
+    if _pair is not None and (b, a) in _pair:
+        return _pair.pop((b, a))
     points = _check_points(temperature, mode_limits, scales, bath)
-    source = _source_of(order, a, system, bath, couplings, shape)
-    (rates,) = _rates(order, system.transition_frequency(b, a), [(source, b, 1)],
-                      bath, couplings, shape, points)
-    return rates[0] if points.single else rates
+    if _pair is None:
+        sources = [(_source_of(order, a, system, bath, couplings, shape), b)]
+    else:
+        if a not in _pair:
+            _pair[a] = _source_of(order, a, system, bath, couplings, shape)
+        sources = [(_pair[a], b),
+                   (_source_of(order, b, system, bath, couplings, shape), a)]
+    rates, *reverse = _rates(order, system.transition_frequency(b, a), sources,
+                             bath, couplings, shape, points)
+    if points.single:
+        rates, reverse = rates[0], [r[0] for r in reverse]
+    if reverse:
+        _pair[a, b] = reverse[0]
+    return rates
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,9 @@ def sweep_lambda(
 ) -> SweepSeries:
     """T1 versus the homogeneous coupling multiplier, per order.
 
-    The scale-free channel sums are evaluated once per transition and
-    order; each point multiplies them by its scale**order, exactly as a
-    one-point evaluation at that scale would.
+    The scale-free channel sums are evaluated once per transition pair
+    and order; each point multiplies them by its scale**order, exactly as
+    a one-point evaluation at that scale would.
     """
     lams = _axis(scales)
     orders = tuple(sorted(set(orders)))

@@ -1,6 +1,7 @@
 """Multi-point rate evaluation: one amplitude pass reduced against many
 temperatures, mode limits or coupling scales, and the sweeps built on it."""
 
+import itertools
 import math
 import sys
 
@@ -29,7 +30,7 @@ from spinphonon import (
     sweep_temperature,
     with_coupling_scale,
 )
-from spinphonon import rates
+from spinphonon import dynamics, rates, sweeps
 from spinphonon.dynamics import RateGenerator
 
 from conftest import max_channel_dev
@@ -159,40 +160,60 @@ class TestFindCrossover:
         assert find_crossover(small_model, 300.0, shape) == crossover_scale(r4, r6)
 
 
-class TestOnePruningPassPerPairAndOrder:
+class TestOneKernelCallPerTransitionAndOrder:
     @pytest.fixture
-    def passes(self, monkeypatch):
-        seen = []
+    def counts(self, monkeypatch):
+        """Phonon count of every pruning pass, and the order and transition
+        of every ``rate_at_order`` call the generator and sweeps make."""
+        seen, calls = [], []
         chunks = rates._chunks
 
-        def counting(omega_ba, pattern, *args):
+        def counting_passes(omega_ba, pattern, *args):
             seen.append(len(pattern))
             return chunks(omega_ba, pattern, *args)
 
-        monkeypatch.setattr(rates, "_chunks", counting)
-        return seen
+        def counting_calls(order, b, a, *args, **kwargs):
+            calls.append((order, b, a))
+            return rate_at_order(order, b, a, *args, **kwargs)
 
-    def test_sweeps(self, shape, small_model, passes):
+        monkeypatch.setattr(rates, "_chunks", counting_passes)
+        monkeypatch.setattr(dynamics, "rate_at_order", counting_calls)
+        monkeypatch.setattr(sweeps, "rate_at_order", counting_calls)
+        return seen, calls
+
+    def test_sweeps(self, shape, small_model, counts):
         """Each pair {a, b} prunes each channel once for b <- a and a <- b
-        together, at every point of the sweep."""
-        for model, pairs in ((two_level_model(), 1), (small_model, 3)):
+        together, at every point of the sweep, while the generator still
+        asks for every transition through its own ``rate_at_order`` call.
+        A two-level crossover reads the one transition 1 <- 0 alone."""
+        passes, calls = counts
+        for model, n in ((two_level_model(), 2), (small_model, 3)):
+            pairs = n * (n - 1) // 2
+
             def channels(*orders):
                 """Phonon count of every channel of ``orders``, once per pair."""
                 return sorted(k // 2 for k in orders
                               for _ in range(pairs * 2 ** (k // 2)))
 
-            sweep_temperature(model, np.geomspace(5.0, 400.0, 6), (4, 6), shape)
-            assert sorted(passes) == channels(4, 6)
-            passes.clear()
-            sweep_cutoff(model, np.linspace(50.0, 200.0, 5), 6, 300.0, shape)
-            assert passes == channels(6)
-            passes.clear()
-            sweep_lambda(model, np.geomspace(0.5, 64.0, 5), (4, 6), 300.0, shape)
-            assert sorted(passes) == channels(4, 6)
-            passes.clear()
-            find_crossover(model, 300.0, shape)
-            assert sorted(passes) == channels(4, 6)
-            passes.clear()
+            def transitions(*orders):
+                return sorted((k, b, a) for k in orders
+                              for b, a in itertools.permutations(range(n), 2))
+
+            for sweep, orders, asked in (
+                (lambda: sweep_temperature(model, np.geomspace(5.0, 400.0, 6), (4, 6),
+                                           shape), (4, 6), transitions(4, 6)),
+                (lambda: sweep_cutoff(model, np.linspace(50.0, 200.0, 5), 6, 300.0,
+                                      shape), (6,), transitions(6)),
+                (lambda: sweep_lambda(model, np.geomspace(0.5, 64.0, 5), (4, 6), 300.0,
+                                      shape), (4, 6), transitions(4, 6)),
+                (lambda: find_crossover(model, 300.0, shape), (4, 6),
+                 [(4, 1, 0), (6, 1, 0)] if n == 2 else transitions(4, 6)),
+            ):
+                sweep()
+                assert sorted(passes) == channels(*orders)
+                assert sorted(calls) == asked
+                passes.clear()
+                calls.clear()
 
 
 class TestPointValidation:
