@@ -35,7 +35,6 @@ from .oracle import (
 from .rates import rate_at_order
 from .sweeps import find_crossover, sweep_cutoff, sweep_lambda, sweep_temperature
 
-_DEFAULT_ORDERS = (2, 4, 6)
 _ORACLE_TOL = 1e-10
 
 
@@ -219,12 +218,12 @@ def _cmd_t1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_csv(axis_name, axis, t1_per_order, channel_extra=None) -> str:
-    orders = sorted(t1_per_order)
+def _sweep_csv(axis_name, series, channel_extra=None) -> str:
+    orders = sorted(series.t1_per_order)
     header = [axis_name] + [f"t1_order{k}_s" for k in orders]
     rows = [
-        [axis[i]] + [t1_per_order[k][i] for k in orders]
-        for i in range(len(axis))
+        [series.axis[i]] + [series.t1_per_order[k][i] for k in orders]
+        for i in range(len(series.axis))
     ]
     if channel_extra is not None:
         ch_header, ch_rows = channel_extra
@@ -241,19 +240,15 @@ def _cmd_sweep_temp(args: argparse.Namespace) -> int:
     if args.channels:
         extra = _channel_columns(model, args.transition, args.orders, args.grid,
                                  shape)
-    _emit(_sweep_csv("temperature_K", series.axis, series.t1_per_order, extra),
-          args.output)
+    _emit(_sweep_csv("temperature_K", series, extra), args.output)
     return 0
 
 
 def _cmd_sweep_cutoff(args: argparse.Namespace) -> int:
     model = load_system(args.input)
     shape = _shape_from_args(args)
-    t1_per_order = {}
-    for order in args.orders:
-        series = sweep_cutoff(model, args.grid, order, args.temp, shape)
-        t1_per_order[order] = series.t1_per_order[order]
-    _emit(_sweep_csv("cutoff_cm-1", args.grid, t1_per_order), args.output)
+    series = sweep_cutoff(model, args.grid, args.orders, args.temp, shape)
+    _emit(_sweep_csv("cutoff_cm-1", series), args.output)
     return 0
 
 
@@ -265,7 +260,7 @@ def _cmd_sweep_lambda(args: argparse.Namespace) -> int:
     if args.channels:
         extra = _channel_columns(model, args.transition, args.orders, args.temp,
                                  shape, scales=args.grid)
-    _emit(_sweep_csv("lambda", series.axis, series.t1_per_order, extra), args.output)
+    _emit(_sweep_csv("lambda", series, extra), args.output)
     return 0
 
 

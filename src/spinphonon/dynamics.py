@@ -39,7 +39,6 @@ class RateGenerator:
     """
 
     matrix: np.ndarray
-    orders: tuple[int, ...]
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -59,7 +58,6 @@ class RateGenerator:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "orders", tuple(sorted(self.orders)))
 
     @property
     def n_states(self) -> int:
@@ -144,11 +142,10 @@ def assemble_generator(
     generator exactly additive over orders.
     """
     per_order = order_generator_matrices(model, temperature, shape, orders)
-    orders = tuple(sorted(per_order))
     total = np.zeros_like(next(iter(per_order.values())))
-    for order in orders:
-        total = total + per_order[order]
-    return RateGenerator(matrix=total, orders=orders)
+    for matrix in per_order.values():
+        total = total + matrix
+    return RateGenerator(matrix=total)
 
 
 def slowest_decay(generator: RateGenerator) -> DecayMode:

@@ -73,12 +73,14 @@ from .core import (
     EMIT,
     CouplingSet,
     Lineshape,
+    Model,
     NearResonantDenominatorWarning,
     PhononBath,
     SignPattern,
     SpinSystem,
     _EXP_ARG_MAX,
     sign_patterns,
+    validate_model,
 )
 
 #: Tuples are pruned and evaluated in chunks of about this many candidates
@@ -539,6 +541,7 @@ def rate_at_order(
         raise ValueError(f"threads must be at least 1, got {threads}")
     if order not in _PHONONS:
         raise ValueError(f"order must be 2, 4, or 6, got {order}")
+    validate_model(Model(system, bath, couplings))
     _check_transition(b, a, system.n_states)
     if _pair is not None and (b, a) in _pair:
         return _pair.pop((b, a))

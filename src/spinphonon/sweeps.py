@@ -19,10 +19,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Lineshape, Model, restrict_bath, with_coupling_scale
+from .core import (
+    BOLTZMANN_CM_PER_K,
+    Lineshape,
+    Model,
+    restrict_bath,
+    with_coupling_scale,
+)
 from .dynamics import (
     RateGenerator,
-    assemble_generator,
     extract_t1,
     order_generator_matrices,
     slowest_decay,
@@ -70,10 +75,14 @@ def _axis(values: Sequence[float]) -> np.ndarray:
     return ax
 
 
-def _t1_per_point(matrices: np.ndarray, order: int) -> np.ndarray:
-    """T1 of each generator matrix stacked along the leading axis."""
-    return np.array(
-        [extract_t1(RateGenerator(matrix=m, orders=(order,))) for m in matrices]
+def _series(axis: np.ndarray, mats: dict[int, np.ndarray]) -> SweepSeries:
+    """T1 per order and point from generator matrices stacked per point."""
+    return SweepSeries(
+        axis=axis,
+        t1_per_order={
+            order: [extract_t1(RateGenerator(matrix=m)) for m in matrices]
+            for order, matrices in mats.items()
+        },
     )
 
 
@@ -85,27 +94,22 @@ def sweep_temperature(
 ) -> SweepSeries:
     """T1 versus temperature, one series per requested order.
 
-    One multi-temperature rate call per transition and order evaluates
-    each surviving tuple's amplitude once; every point equals a
-    one-temperature evaluation there bit for bit.
+    One multi-temperature pass per transition pair and order evaluates
+    each surviving tuple's amplitude once per direction; every point
+    equals a one-temperature evaluation there bit for bit.
     """
     temps = _axis(temperatures)
-    orders = tuple(sorted(set(orders)))
-    mats = order_generator_matrices(model, temps, shape, orders)
-    return SweepSeries(
-        axis=temps,
-        t1_per_order={k: _t1_per_point(mats[k], k) for k in orders},
-    )
+    return _series(temps, order_generator_matrices(model, temps, shape, orders))
 
 
 def sweep_cutoff(
     model: Model,
     cutoffs: Sequence[float],
-    order: int,
+    orders: Iterable[int],
     temperature: float,
     shape: Lineshape = Lineshape(),
 ) -> SweepSeries:
-    """T1 versus the phonon high-energy cutoff, at a single order.
+    """T1 versus the phonon high-energy cutoff, one series per requested order.
 
     Each point keeps the modes at or below its cutoff; a cutoff below the
     lowest mode leaves nothing to relax through and yields the
@@ -118,12 +122,8 @@ def sweep_cutoff(
     cuts = _axis(cutoffs)
     sub = restrict_bath(model, float(cuts[-1]))
     limits = np.searchsorted(sub.bath.frequencies, cuts, side="right")
-    mats = order_generator_matrices(sub, temperature, shape, (order,),
-                                    mode_limits=limits)
-    return SweepSeries(
-        axis=cuts,
-        t1_per_order={order: _t1_per_point(mats[order], order)},
-    )
+    return _series(cuts, order_generator_matrices(sub, temperature, shape, orders,
+                                                  mode_limits=limits))
 
 
 def sweep_lambda(
@@ -140,13 +140,8 @@ def sweep_lambda(
     a one-point evaluation at that scale would.
     """
     lams = _axis(scales)
-    orders = tuple(sorted(set(orders)))
-    mats = order_generator_matrices(model, temperature, shape, orders,
-                                    scales=lams)
-    return SweepSeries(
-        axis=lams,
-        t1_per_order={k: _t1_per_point(mats[k], k) for k in orders},
-    )
+    return _series(lams, order_generator_matrices(model, temperature, shape, orders,
+                                                  scales=lams))
 
 
 def crossover_scale(rate4: float, rate6: float) -> float:
@@ -154,20 +149,6 @@ def crossover_scale(rate4: float, rate6: float) -> float:
     if not (rate4 > 0.0 and rate6 > 0.0):
         raise ValueError("both rates must be positive")
     return math.sqrt(rate4 / rate6)
-
-
-def _order_rate_metric(
-    model: Model, order: int, temperature: float, shape: Lineshape
-) -> float:
-    """Total rate compared between orders: the (1, 0) transition rate for a
-    two-level model, the slowest decay rate 1/T1 otherwise."""
-    system, bath, couplings = model
-    if system.n_states == 2:
-        return rate_at_order(
-            order, 1, 0, system, bath, couplings, temperature, shape
-        ).total
-    gen = assemble_generator(model, temperature, shape, (order,))
-    return slowest_decay(gen).rate
 
 
 def find_crossover(
@@ -179,18 +160,23 @@ def find_crossover(
     """Coupling scale at which the three-phonon rate overtakes the two-phonon one.
 
     Order-2k rates scale exactly as lambda**(2k), so the crossover is the
-    closed form ``crossover_scale(r4, r6)`` of the two rates at scale 1.
-    Returns it when it lies in the bracket, endpoints included, and None
+    closed form ``crossover_scale(r4, r6)`` of the rates at scale 1: the
+    (1, 0) transition rates of a two-level model, 1/T1 otherwise. Returns
+    it when it lies in the bracket, endpoints included, and None
     otherwise. Raises ValueError when either rate is zero.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
     base = with_coupling_scale(model, 1.0)
-    lam = crossover_scale(
-        _order_rate_metric(base, 4, temperature, shape),
-        _order_rate_metric(base, 6, temperature, shape),
-    )
+    if base.system.n_states == 2:
+        r4, r6 = (rate_at_order(k, 1, 0, *base, temperature, shape).total
+                  for k in (4, 6))
+    else:
+        mats = order_generator_matrices(base, temperature, shape, (4, 6))
+        r4, r6 = (slowest_decay(RateGenerator(matrix=mats[k])).rate
+                  for k in (4, 6))
+    lam = crossover_scale(r4, r6)
     return lam if lo <= lam <= hi else None
 
 
@@ -219,7 +205,5 @@ def high_temperature_mask(
     temperatures: Sequence[float], max_mode_frequency: float
 ) -> np.ndarray:
     """True where k_B T >= 2 * max mode frequency, the power-law fit window."""
-    from .core import BOLTZMANN_CM_PER_K
-
     t = np.asarray(temperatures, dtype=float)
     return BOLTZMANN_CM_PER_K * t >= 2.0 * max_mode_frequency

@@ -169,7 +169,7 @@ def test_criterion_5_cutoff_monotonicity():
                       freq_range=(20.0, 200.0))
         )
         cutoffs = np.linspace(15.0, 210.0, 9)
-        series = sweep_cutoff(model, cutoffs, 6, 300.0, shape)
+        series = sweep_cutoff(model, cutoffs, (6,), 300.0, shape)
         t1 = series.t1_per_order[6]
         for earlier, later in zip(t1, t1[1:]):
             if math.isinf(earlier):
@@ -281,7 +281,7 @@ def test_criterion_8_dynamics_sanity():
     )
 
     # two-level T1 equals 1/(R_ba + R_ab) exactly
-    two = RateGenerator(np.array([[-3.0, 1.0], [3.0, -1.0]]), orders=(2,))
+    two = RateGenerator(np.array([[-3.0, 1.0], [3.0, -1.0]]))
     exact = extract_t1(two) == 1.0 / (two.matrix[1, 0] + two.matrix[0, 1])
 
     ok = trace_dev <= 1e-9 and stat_dev <= 1e-8 and exact

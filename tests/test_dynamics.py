@@ -39,28 +39,28 @@ def reversible_four_level(seed=12):
                 m[b, a] = c[b, a] / pi[a]
     for a in range(4):
         m[a, a] = -m[:, a].sum()
-    return RateGenerator(m, orders=()), pi
+    return RateGenerator(m), pi
 
 
 class TestRateGenerator:
     def test_two_level_shape(self):
         r1, r2 = 3.0, 1.0
-        gen = RateGenerator(np.array([[-r1, r2], [r1, -r2]]), orders=(2,))
+        gen = RateGenerator(np.array([[-r1, r2], [r1, -r2]]))
         assert gen.matrix[1, 0] == r1
         assert gen.matrix[0, 0] == -r1
 
     def test_rejects_negative_offdiagonal(self):
         with pytest.raises(ValueError):
-            RateGenerator(np.array([[1.0, -1.0], [-1.0, 1.0]]), orders=(2,))
+            RateGenerator(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_rejects_unbalanced_columns(self):
         with pytest.raises(ValueError, match="columns"):
-            RateGenerator(np.array([[-1.0, 0.0], [2.0, 0.0]]), orders=(2,))
+            RateGenerator(np.array([[-1.0, 0.0], [2.0, 0.0]]))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="overflowed"):
-            RateGenerator(np.array([[-bad, 1.0], [bad, -1.0]]), orders=(2,))
+            RateGenerator(np.array([[-bad, 1.0], [bad, -1.0]]))
 
 
 class TestAssembleGenerator:
@@ -101,11 +101,11 @@ class TestAssembleGenerator:
 
 class TestExtractT1:
     def test_two_level_exact(self):
-        gen = RateGenerator(np.array([[-3.0, 1.0], [3.0, -1.0]]), orders=(2,))
+        gen = RateGenerator(np.array([[-3.0, 1.0], [3.0, -1.0]]))
         assert extract_t1(gen) == 0.25
 
     def test_zero_generator_sentinel(self):
-        gen = RateGenerator(np.zeros((3, 3)), orders=(2,))
+        gen = RateGenerator(np.zeros((3, 3)))
         assert extract_t1(gen) == math.inf
         assert slowest_decay(gen).rate == 0.0
 
@@ -116,7 +116,7 @@ class TestExtractT1:
             m[i, j] = m[j, i] = 1.5
         for a in range(4):
             m[a, a] = -m[:, a].sum()
-        mode = slowest_decay(RateGenerator(m, orders=(2,)))
+        mode = slowest_decay(RateGenerator(m))
         assert mode.rate == pytest.approx(3.0, rel=1e-12)
         assert mode.multiplicity == 2
 
@@ -126,7 +126,7 @@ class TestExtractT1:
         for _ in range(4):
             perm = rng.permutation(4)
             p = np.eye(4)[perm]
-            permuted = RateGenerator(p @ gen.matrix @ p.T, orders=())
+            permuted = RateGenerator(p @ gen.matrix @ p.T)
             assert extract_t1(permuted) == pytest.approx(extract_t1(gen), rel=1e-12)
 
     def test_propagation_cross_check(self):
@@ -156,7 +156,7 @@ class TestPropagatePopulations:
 
     def test_two_level_stationary_limit(self):
         r1, r2 = 3.0, 1.0
-        gen = RateGenerator(np.array([[-r1, r2], [r1, -r2]]), orders=(2,))
+        gen = RateGenerator(np.array([[-r1, r2], [r1, -r2]]))
         p = propagate_populations(gen, [1.0, 0.0], 50.0)
         assert p == pytest.approx([r2 / (r1 + r2), r1 / (r1 + r2)], abs=1e-12)
 

@@ -43,8 +43,8 @@ def two_level_model(seed=7, n_modes=16):
     )
 
 
-def t1_of(matrix, order):
-    return extract_t1(RateGenerator(matrix=matrix, orders=(order,)))
+def t1_of(matrix):
+    return extract_t1(RateGenerator(matrix=matrix))
 
 
 def swept_in_pieces(sweep, grid, pieces):
@@ -65,7 +65,7 @@ class TestSweepsEqualPerPointEvaluation:
         for i, t in enumerate(temps):
             mats = order_generator_matrices(small_model, t, shape, (2, 4, 6))
             for k in (2, 4, 6):
-                assert t1[k][i] == t1_of(mats[k], k)
+                assert t1[k][i] == t1_of(mats[k])
 
     @pytest.mark.parametrize("pieces", [1, 2])
     def test_lambda_sweep_is_bit_identical(self, shape, small_model, pieces):
@@ -77,21 +77,35 @@ class TestSweepsEqualPerPointEvaluation:
             scaled = with_coupling_scale(small_model, lam)
             mats = order_generator_matrices(scaled, 250.0, shape, (2, 4, 6))
             for k in (2, 4, 6):
-                assert t1[k][i] == t1_of(mats[k], k)
+                assert t1[k][i] == t1_of(mats[k])
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_cutoff_sweep_matches_restricted_baths(self, shape, small_model, order):
         freqs = small_model.bath.frequencies
         cutoffs = [freqs[0] / 2.0, freqs[3], 0.5 * (freqs[6] + freqs[7]), freqs[-1],
                    freqs[-1] + 40.0]
-        series = sweep_cutoff(small_model, cutoffs, order, 300.0, shape)
+        series = sweep_cutoff(small_model, cutoffs, (order,), 300.0, shape)
         for omega_c, value in zip(cutoffs, series.t1_per_order[order]):
             sub = restrict_bath(small_model, omega_c)
             if sub.bath.n_modes == 0:
                 assert math.isinf(value)
                 continue
             mats = order_generator_matrices(sub, 300.0, shape, (order,))
-            assert value == pytest.approx(t1_of(mats[order], order), rel=1e-12)
+            assert value == pytest.approx(t1_of(mats[order]), rel=1e-12)
+
+    def test_multi_order_cutoff_sweep_equals_one_order_sweeps(self, shape, small_model):
+        """One cutoff sweep over orders 2, 4, 6 gives, order by order, the same
+        values as a sweep at that order alone."""
+        for model in (two_level_model(), small_model):
+            freqs = model.bath.frequencies
+            cutoffs = [freqs[0] / 2.0, freqs[2], 0.5 * (freqs[5] + freqs[6]),
+                       freqs[-1] + 10.0]
+            joint = sweep_cutoff(model, cutoffs, (2, 4, 6), 300.0, shape)
+            assert list(joint.t1_per_order) == [2, 4, 6]
+            for order in (2, 4, 6):
+                alone = sweep_cutoff(model, cutoffs, (order,), 300.0, shape)
+                assert np.array_equal(joint.t1_per_order[order],
+                                      alone.t1_per_order[order])
 
     def test_channels_match_the_naive_oracle_at_three_temperatures(self, shape,
                                                                    small_model):
@@ -119,7 +133,8 @@ class TestCutoffInvariants:
             model = two_level_model(seed=seed, n_modes=20)
             cutoffs = np.linspace(15.0, 160.0, 25)
             for order in (2, 4, 6):
-                t1 = sweep_cutoff(model, cutoffs, order, 300.0, shape).t1_per_order[order]
+                series = sweep_cutoff(model, cutoffs, (order,), 300.0, shape)
+                t1 = series.t1_per_order[order]
                 assert all(y <= x for x, y in zip(t1, t1[1:]))
 
     def test_full_limit_agrees_with_the_one_point_rate(self, shape, small_model):
@@ -202,8 +217,10 @@ class TestOneKernelCallPerTransitionAndOrder:
             for sweep, orders, asked in (
                 (lambda: sweep_temperature(model, np.geomspace(5.0, 400.0, 6), (4, 6),
                                            shape), (4, 6), transitions(4, 6)),
-                (lambda: sweep_cutoff(model, np.linspace(50.0, 200.0, 5), 6, 300.0,
+                (lambda: sweep_cutoff(model, np.linspace(50.0, 200.0, 5), (6,), 300.0,
                                       shape), (6,), transitions(6)),
+                (lambda: sweep_cutoff(model, np.linspace(50.0, 200.0, 5), (4, 6),
+                                      300.0, shape), (4, 6), transitions(4, 6)),
                 (lambda: sweep_lambda(model, np.geomspace(0.5, 64.0, 5), (4, 6), 300.0,
                                       shape), (4, 6), transitions(4, 6)),
                 (lambda: find_crossover(model, 300.0, shape), (4, 6),

@@ -28,6 +28,7 @@ from spinphonon import (
     naive_rate_three_phonon,
     naive_rate_two_phonon,
     prune_triples,
+    rate_at_order,
     rate_one_phonon,
     rate_three_phonon,
     rate_two_phonon,
@@ -434,6 +435,29 @@ class TestEveryTransition:
                 assert dev <= tolerance, (order, b, a)
                 split = rate_at_order(order, b, a, *model, 280.0, shape, threads=2)
                 assert split.per_channel == fast.per_channel
+
+
+def _more_couplings_than_modes():
+    """A 10-mode bath with the couplings of 12 modes."""
+    system, bath, couplings = generate_model(ModelSpec(seed=5, n_modes=12))
+    return system, PhononBath(bath.frequencies[:10]), couplings
+
+
+def _more_coupled_states_than_levels():
+    """A 2-state system with 3-state coupling matrices."""
+    system, bath, couplings = generate_model(ModelSpec(seed=5, n_states=3,
+                                                       n_modes=10))
+    return SpinSystem(system.energies[:2]), bath, couplings
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("mismatched, message", [
+    (_more_couplings_than_modes, "coupling matrix count 12 does not match mode count 10"),
+    (_more_coupled_states_than_levels, "3x3 but the system has 2 states"),
+], ids=["modes", "states"])
+def test_mismatched_model_parts_rejected(shape, order, mismatched, message):
+    with pytest.raises(ValueError, match=message):
+        rate_at_order(order, 1, 0, *mismatched(), 300.0, shape)
 
 
 class TestNearResonantWarning:

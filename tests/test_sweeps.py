@@ -51,7 +51,7 @@ class TestSweepTemperature:
 )
 def test_non_finite_axis_values_raise(shape, small_model, axis):
     with pytest.raises(ValueError, match="finite"):
-        sweep_cutoff(small_model, axis, 4, 300.0, shape)
+        sweep_cutoff(small_model, axis, (4,), 300.0, shape)
     with pytest.raises(ValueError, match="finite"):
         sweep_temperature(small_model, axis, (2,), shape)
     with pytest.raises(ValueError, match="finite"):
@@ -61,13 +61,13 @@ def test_non_finite_axis_values_raise(shape, small_model, axis):
 class TestSweepCutoff:
     def test_full_cutoff_matches_unrestricted(self, shape, small_model):
         top = float(small_model.bath.frequencies[-1])
-        series = sweep_cutoff(small_model, [top, top + 50.0], 4, 300.0, shape)
+        series = sweep_cutoff(small_model, [top, top + 50.0], (4,), 300.0, shape)
         t1 = series.t1_per_order[4]
         assert t1[0] == t1[1]
 
     def test_below_lowest_mode_is_infinite(self, shape, small_model):
         lowest = float(small_model.bath.frequencies[0])
-        series = sweep_cutoff(small_model, [lowest / 2.0], 4, 300.0, shape)
+        series = sweep_cutoff(small_model, [lowest / 2.0], (4,), 300.0, shape)
         assert math.isinf(series.t1_per_order[4][0])
 
     def test_monotone_non_increasing(self, shape):
@@ -76,7 +76,7 @@ class TestSweepCutoff:
                 ModelSpec(seed=seed, n_states=ns, n_modes=20, freq_range=(20.0, 200.0))
             )
             cutoffs = np.linspace(15.0, 210.0, 9)
-            series = sweep_cutoff(model, cutoffs, 6, 300.0, shape)
+            series = sweep_cutoff(model, cutoffs, (6,), 300.0, shape)
             t1 = series.t1_per_order[6]
             for earlier, later in zip(t1, t1[1:]):
                 assert later <= earlier * (1.0 + 1e-9)
