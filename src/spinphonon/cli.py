@@ -102,7 +102,14 @@ def _parse_bracket(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _add_shape_args(p: argparse.ArgumentParser) -> None:
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    """Flags of every command that evaluates rates."""
+    p.add_argument("--temp", type=float, default=300.0,
+                   help="temperature in kelvin (default 300)")
+    p.add_argument("--threads", type=_parse_threads, default=1,
+                   help="accepted for compatibility, at least 1; the rate "
+                        "kernels run on one thread (default 1)")
+    p.add_argument("--output", default=None)
     p.add_argument("--sigma", type=float, default=10.0,
                    help="lineshape width in cm^-1 (default 10)")
     p.add_argument("--eta", type=float, default=1.0,
@@ -113,20 +120,17 @@ def _add_shape_args(p: argparse.ArgumentParser) -> None:
                    default="gaussian", help="broadened delta kind (default gaussian)")
 
 
-def _add_threads_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_parse_threads, default=1,
-                   help="accepted for compatibility, at least 1; the rate "
-                        "kernels run on one thread (default 1)")
-
-
 def _add_common_args(p: argparse.ArgumentParser, orders_default: str = "2,4,6") -> None:
     p.add_argument("--input", required=True, help="model JSON file")
     p.add_argument("--orders", type=_parse_orders, default=_parse_orders(orders_default),
                    help=f"comma-separated subset of 2,4,6 (default {orders_default})")
-    p.add_argument("--temp", type=float, default=300.0,
-                   help="temperature in kelvin (default 300)")
-    _add_threads_arg(p)
-    _add_shape_args(p)
+    _add_run_args(p)
+
+
+def _add_channel_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--channels", action="store_true",
+                   help="append per-channel rate columns at --transition")
+    p.add_argument("--transition", type=_parse_transition, default=(1, 0))
 
 
 def _shape_from_args(args: argparse.Namespace) -> Lineshape:
@@ -327,39 +331,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     p.add_argument("--transition", type=_parse_transition, default=(1, 0),
                    help="destination,source state pair (default 1,0)")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("t1", help="print T1 in seconds")
     _add_common_args(p)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_t1)
 
     p = sub.add_parser("sweep-temp", help="T1 versus temperature (CSV)")
     _add_common_args(p)
     p.add_argument("--grid", type=_parse_grid, required=True,
                    help="temperature grid start:stop:npoints[:log], in K")
-    p.add_argument("--channels", action="store_true",
-                   help="append per-channel rate columns at --transition")
-    p.add_argument("--transition", type=_parse_transition, default=(1, 0))
-    p.add_argument("--output", default=None)
+    _add_channel_args(p)
     p.set_defaults(func=_cmd_sweep_temp)
 
     p = sub.add_parser("sweep-cutoff", help="T1 versus phonon energy cutoff (CSV)")
     _add_common_args(p, orders_default="6")
     p.add_argument("--grid", type=_parse_grid, required=True,
                    help="cutoff grid start:stop:npoints[:log], in cm^-1")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sweep_cutoff)
 
     p = sub.add_parser("sweep-lambda", help="T1 versus coupling multiplier (CSV)")
     _add_common_args(p, orders_default="4,6")
     p.add_argument("--grid", type=_parse_grid, required=True,
                    help="lambda grid start:stop:npoints[:log]")
-    p.add_argument("--channels", action="store_true",
-                   help="append per-channel rate columns at --transition")
-    p.add_argument("--transition", type=_parse_transition, default=(1, 0))
-    p.add_argument("--output", default=None)
+    _add_channel_args(p)
     p.set_defaults(func=_cmd_sweep_lambda)
 
     p = sub.add_parser("crossover",
@@ -367,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     p.add_argument("--bracket", type=_parse_bracket, default=(1e-2, 1e4),
                    help="search bracket low:high (default 1e-2:1e4)")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_crossover)
 
     p = sub.add_parser("gen-model", help="write a synthetic model JSON file")
@@ -378,10 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="compare optimized rates against the naive reference")
     _add_spec_args(p)
-    p.add_argument("--temp", type=float, default=300.0)
-    _add_threads_arg(p)
-    p.add_argument("--output", default=None)
-    _add_shape_args(p)
+    _add_run_args(p)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

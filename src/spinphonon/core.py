@@ -8,6 +8,7 @@ multiplying with ``CM_TO_RATE_S``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -227,14 +228,7 @@ def sign_patterns(n_phonons: int) -> tuple[SignPattern, ...]:
     """
     if n_phonons not in (1, 2, 3):
         raise ValueError("processes carry 1, 2, or 3 phonons")
-    patterns = []
-    for bits in range(2 ** n_phonons):
-        signs = tuple(
-            EMIT if (bits >> (n_phonons - 1 - k)) & 1 == 0 else ABSORB
-            for k in range(n_phonons)
-        )
-        patterns.append(SignPattern(signs))
-    return tuple(patterns)
+    return tuple(map(SignPattern, itertools.product((EMIT, ABSORB), repeat=n_phonons)))
 
 
 class Model(NamedTuple):

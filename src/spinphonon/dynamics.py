@@ -104,7 +104,7 @@ def order_generator_matrices(
     single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
     out: dict[int, np.ndarray] = {}
     for order in orders:
-        per_point = {}
+        m = None
         for a in range(n - 1):
             # one pruning pass per pair {a, b}: the call for b <- a also
             # makes a <- b, with b's tables, and leaves it in `pair` for the
@@ -117,16 +117,13 @@ def order_generator_matrices(
                         order, dest, source, system, bath, couplings, temperature,
                         shape, mode_limits=mode_limits, scales=scales, _pair=pair,
                     )
-                    per_point[dest, source] = [rates] if single else rates
-        matrices = []
-        for point in range(len(per_point[1, 0])):
-            m = np.zeros((n, n))
-            for (b, a), rates in per_point.items():
-                m[b, a] = rates[point].total
-            for a in range(n):
-                m[a, a] = -m[:, a].sum()
-            matrices.append(m)
-        out[order] = matrices[0] if single else np.stack(matrices)
+                    rates = [rates] if single else rates
+                    if m is None:
+                        m = np.zeros((len(rates), n, n))
+                    m[:, dest, source] = [r.total for r in rates]
+        for a in range(n):
+            m[:, a, a] = -m[:, :, a].sum(axis=1)
+        out[order] = m[0] if single else m
     return out
 
 

@@ -11,6 +11,7 @@ result container are reused.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,10 @@ class ModelSpec:
     excited_offset: float = 1000.0
 
     def __post_init__(self):
+        for name in ("seed", "n_states", "n_modes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if self.n_states < 2:

@@ -257,16 +257,15 @@ def prune_triples(
 
 
 class _Tables(NamedTuple):
-    """Tables of one transition b <- a, shared read-only by all chunks.
+    """Tables of one source state a at one order, shared read-only by all
+    chunks of every transition out of a.
 
     M is the number of modes, n the number of states and s a channel sign
-    (+1 emit, -1 absorb). The source part depends on a and the order only,
-    so every destination of a can share it; the destination part holds
-    the couplings of b. State-indexed tables are stored state-major, so a
-    chunk's gathers and products run along its t tuples.
+    (+1 emit, -1 absorb). Nothing here depends on the destination: its
+    couplings enter only in ``_amp2``. State-indexed tables are stored
+    state-major, so a chunk's gathers and products run along its t tuples.
     """
 
-    # source part
     #: signs of an ascending mode set Q -> its level's table T_s[c; Q] (module
     #: docstring) at column _column(tri_row, Q): n x 1 for (), the one-hot
     #: column of state a; n x M for one mode; n x M(M-1)/2 for a pair
@@ -276,8 +275,6 @@ class _Tables(NamedTuple):
     mins: dict[tuple[int, ...], np.ndarray]
     #: column of the pair q < r is tri_row[q] + r, length M
     tri_row: np.ndarray
-    # destination part
-    v_b: np.ndarray | None = None  #: [c, q] = V[q, b, c], n x M
 
 
 def _column(tri_row: np.ndarray, modes: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -293,9 +290,9 @@ def _column(tri_row: np.ndarray, modes: tuple[np.ndarray, ...]) -> np.ndarray:
 
 def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
                    v: np.ndarray, eta: float) -> _Tables:
-    """The source part of the tables of every transition out of a, levels 0
-    to order / 2 - 1, sized in the module docstring. Each level is built one
-    state c at a time, beside a few M x M blocks of scratch."""
+    """The tables of every transition out of a, levels 0 to order / 2 - 1,
+    sized in the module docstring. Each level is built one state c at a
+    time, beside a few M x M blocks of scratch."""
     m, n = v.shape[:2]
     q = np.arange(m)
     tri_row = (q * (m - 1) - q * (q - 1) // 2 - q - 1).astype(np.int32)
@@ -325,15 +322,16 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
     return _Tables(tables, mins, tri_row)
 
 
-def _amp2(sel, signs, tab: _Tables) -> tuple[np.ndarray, float]:
-    # Each first mode p takes V[p, b, :] dotted with the table entry of the
-    # other modes, which sums their orderings and carries their minima.
+def _amp2(sel, signs, tab: _Tables, v_b: np.ndarray) -> tuple[np.ndarray, float]:
+    # Each first mode q takes V[q, b, :] of the destination b, the column
+    # v_b[:, q], dotted with the table entry of the other modes, which sums
+    # their orderings and carries their minima.
     amp = np.zeros(sel[0].size, dtype=complex)
     min_abs = np.inf
     for p in range(len(sel)):
         key, col = signs[:p] + signs[p + 1:], _column(tab.tri_row, sel[:p] + sel[p + 1:])
         min_abs = min(min_abs, float(np.min(np.take(tab.mins[key], col))))
-        terms = np.take(tab.v_b, sel[p], axis=1)
+        terms = np.take(v_b, sel[p], axis=1)
         terms *= np.take(tab.tables[key], col, axis=1)
         amp += terms.sum(axis=0)
     return amp.real**2 + amp.imag**2, min_abs
@@ -363,7 +361,8 @@ class _Points(NamedTuple):
     #: Bose occupations per mode, one array per temperature
     occs: list[np.ndarray]
     limits: np.ndarray | None
-    scales: list[float] | None
+    #: the swept coupling scales, or the model's own scale alone
+    scales: list[float]
     #: one point given as scalars, reported as one RateBreakdown
     single: bool
 
@@ -373,6 +372,7 @@ def _check_points(
     mode_limits: Sequence[int] | None,
     scales: Sequence[float] | None,
     bath: PhononBath,
+    own_scale: float,
 ) -> _Points:
     """Validated points; at most one axis may hold several.
 
@@ -409,15 +409,7 @@ def _check_points(
         scales = scales.tolist()
     occs = [_occupations(bath.frequencies, float(t))
             for t in np.atleast_1d(temperatures)]
-    return _Points(occs, limits, scales, axes == 0)
-
-
-def _source_of(order: int, a: int, system: SpinSystem, bath: PhononBath,
-               couplings: CouplingSet, shape: Lineshape) -> _Tables:
-    """The source tables of every transition out of a at this order."""
-    d_e = np.asarray(system.energies - system.energies[a])
-    return _source_tables(order, a, d_e, bath.frequencies, couplings.matrices,
-                          shape.eta)
+    return _Points(occs, limits, [own_scale] if scales is None else scales, axes == 0)
 
 
 def _rates(
@@ -433,7 +425,7 @@ def _rates(
     pruning pass over the channels of b <- a: one list of breakdowns per
     source.
 
-    Each source is (tables, destination): first the tables of a with
+    A source is (tables, destination): first the tables of a with
     destination b, whose channels take the signs s; then, optionally, the
     tables of b with destination a, whose channels take the signs -s.
     Channel -s of a <- b keeps the tuples of channel s of b <- a, in the
@@ -441,11 +433,13 @@ def _rates(
     even, so each chunk's weights serve both directions. Each direction
     takes its own amplitudes and Bose factors, sums its chunks in chunk
     order and warns on its own smallest |denominator|, so its rates and
-    warning are those of a call of its own.
+    warning are those of a call of its own. A chunk's contribution
+    |A|^2 * (Bose product * lineshape) is formed one temperature at a time
+    and reduced at once: summed, or binned by mode limit.
     """
     v = couplings.matrices
-    tabs = [tables._replace(v_b=np.ascontiguousarray(v[:, dest, :].T))
-            for tables, dest in sources]
+    # each source's tables beside its destination's couplings, [c, q] = V[q, b, c]
+    tabs = [(tables, np.ascontiguousarray(v[:, dest, :].T)) for tables, dest in sources]
     n_sums = len(points.occs) if points.limits is None else len(points.limits)
     sums: list[dict[SignPattern, np.ndarray]] = [{} for _ in tabs]
     min_abs = [np.inf] * len(tabs)
@@ -454,23 +448,20 @@ def _rates(
         totals = [np.zeros(n_sums) for _ in tabs]
         for sel, mismatch in _chunks(omega_ba, pattern, bath, shape):
             line = _weights(mismatch, shape)
-            for k, tab in enumerate(tabs):
-                amp2, low = _amp2(sel, signs[k], tab)
+            if points.limits is not None:
+                # bin by the first limit admitting the tuple's largest mode;
+                # tuples no limit admits land in the dropped last bin
+                first = np.searchsorted(points.limits, sel[-1], side="right")
+            for k, (tables, v_b) in enumerate(tabs):
+                amp2, low = _amp2(sel, signs[k], tables, v_b)
                 min_abs[k] = min(min_abs[k], low)
-                if points.limits is None:
-                    partial = np.array([
-                        np.sum(amp2 * (_bose_product(occ, sel, signs[k]) * line))
-                        for occ in points.occs
-                    ])
-                else:
-                    # bin by the first limit admitting the tuple's largest mode;
-                    # tuples no limit admits land in the dropped last bin
-                    bose = _bose_product(points.occs[0], sel, signs[k])
-                    contrib = amp2 * (bose * line)
-                    first = np.searchsorted(points.limits, sel[-1], side="right")
-                    binned = np.bincount(first, weights=contrib, minlength=n_sums + 1)
-                    partial = np.cumsum(binned[:n_sums])
-                totals[k] = totals[k] + partial
+                for i, occ in enumerate(points.occs):
+                    contrib = amp2 * (_bose_product(occ, sel, signs[k]) * line)
+                    if points.limits is None:
+                        totals[k][i] += np.sum(contrib)
+                    else:
+                        binned = np.bincount(first, contrib, n_sums + 1)
+                        totals[k] += np.cumsum(binned[:n_sums])
         for k, total in enumerate(totals):
             sums[k][SignPattern(signs[k])] = total
     out = []
@@ -482,13 +473,10 @@ def _rates(
                 NearResonantDenominatorWarning,
                 stacklevel=_caller_stacklevel(),
             )
-        per_point = [{p: float(s[k]) for p, s in channel_sums.items()}
-                     for k in range(n_sums)]
-        if points.scales is None:
-            out.append([_breakdown(order, point, couplings.scale)
-                        for point in per_point])
-        else:
-            out.append([_breakdown(order, per_point[0], lam) for lam in points.scales])
+        out.append([
+            _breakdown(order, {p: float(s[k]) for p, s in channel_sums.items()}, lam)
+            for k in range(n_sums) for lam in points.scales
+        ])
     return out
 
 
@@ -545,21 +533,25 @@ def rate_at_order(
     _check_transition(b, a, system.n_states)
     if _pair is not None and (b, a) in _pair:
         return _pair.pop((b, a))
-    points = _check_points(temperature, mode_limits, scales, bath)
+    points = _check_points(temperature, mode_limits, scales, bath, couplings.scale)
+
+    def tables_of(state: int) -> _Tables:
+        d_e = system.energies - system.energies[state]
+        return _source_tables(order, state, d_e, bath.frequencies, couplings.matrices,
+                              shape.eta)
+
     if _pair is None:
-        sources = [(_source_of(order, a, system, bath, couplings, shape), b)]
+        sources = [(tables_of(a), b)]
     else:
         if a not in _pair:
-            _pair[a] = _source_of(order, a, system, bath, couplings, shape)
-        sources = [(_pair[a], b),
-                   (_source_of(order, b, system, bath, couplings, shape), a)]
-    rates, *reverse = _rates(order, system.transition_frequency(b, a), sources,
-                             bath, couplings, shape, points)
-    if points.single:
-        rates, reverse = rates[0], [r[0] for r in reverse]
-    if reverse:
-        _pair[a, b] = reverse[0]
-    return rates
+            _pair[a] = tables_of(a)
+        sources = [(_pair[a], b), (tables_of(b), a)]
+    omega_ba = system.transition_frequency(b, a)
+    rates = [r[0] if points.single else r
+             for r in _rates(order, omega_ba, sources, bath, couplings, shape, points)]
+    if _pair is not None:
+        _pair[a, b] = rates[1]
+    return rates[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinphonon.cli import run_cli
+from spinphonon.cli import build_parser, run_cli
 
 
 def gen_model_file(tmp_path, seed=7, n_states=2, n_modes=14, extra=()):
@@ -325,6 +326,20 @@ class TestInputValidation:
         assert code == 1
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"n_modes": 2.5}, {"n_states": 2.5}, {"n_modes": True}, {"seed": 1.7},
+    ])
+    def test_model_spec_with_a_non_integer_count_exits_1(self, tmp_path, capsys,
+                                                          entry):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"units": "cm-1",
+                                    "model_spec": {"seed": 1, **entry}}))
+        assert run_cli(["t1", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "internal error" not in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     def test_oracle_check_rejects_bad_threads(self, capsys, threads):
         code = run_cli(["oracle-check", "--seed", "3", "--n-modes", "5",
@@ -371,3 +386,43 @@ class TestChannelColumns:
                                            Lineshape()).per_channel.values()
             ]
             assert list(row[3:]) == expected
+
+
+
+_RUN_OPTIONS = {"--temp": 300.0, "--threads": 1, "--output": None, "--sigma": 10.0,
+                "--eta": 1.0, "--window": 6.0, "--lineshape": "gaussian"}
+_MODEL_OPTIONS = {"--input": None, **_RUN_OPTIONS}
+_SPEC_OPTIONS = {"--seed": None, "--n-states": 2, "--n-modes": 20, "--gap": 1.0,
+                 "--freq-min": 20.0, "--freq-max": 200.0, "--coupling-scale": 1.0,
+                 "--excited-offset": 1000.0}
+_CHANNEL_OPTIONS = {"--channels": False, "--transition": (1, 0)}
+
+
+def test_every_subcommand_keeps_its_options_and_defaults():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    actions = {name: [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+               for name, parser in sub.choices.items()}
+    assert {name: {"/".join(a.option_strings): a.default for a in acts}
+            for name, acts in actions.items()} == {
+        "rates": {**_MODEL_OPTIONS, "--orders": (2, 4, 6), "--transition": (1, 0)},
+        "t1": {**_MODEL_OPTIONS, "--orders": (2, 4, 6)},
+        "sweep-temp": {**_MODEL_OPTIONS, "--orders": (2, 4, 6), "--grid": None,
+                       **_CHANNEL_OPTIONS},
+        "sweep-cutoff": {**_MODEL_OPTIONS, "--orders": (6,), "--grid": None},
+        "sweep-lambda": {**_MODEL_OPTIONS, "--orders": (4, 6), "--grid": None,
+                         **_CHANNEL_OPTIONS},
+        "crossover": {**_MODEL_OPTIONS, "--orders": (2, 4, 6),
+                      "--bracket": (1e-2, 1e4)},
+        "gen-model": {**_SPEC_OPTIONS, "--output": None},
+        "oracle-check": {**_SPEC_OPTIONS, **_RUN_OPTIONS},
+    }
+    sweeps = {"--input", "--grid"}
+    assert {name: {a.option_strings[0] for a in acts if a.required}
+            for name, acts in actions.items()} == {
+        "rates": {"--input"}, "t1": {"--input"}, "sweep-temp": sweeps,
+        "sweep-cutoff": sweeps, "sweep-lambda": sweeps, "crossover": {"--input"},
+        "gen-model": {"--seed", "--output"}, "oracle-check": {"--seed"},
+    }
+    assert {a.help for acts in actions.values() for a in acts
+            if a.option_strings == ["--temp"]} == {"temperature in kelvin (default 300)"}

@@ -136,6 +136,16 @@ class TestSignPattern:
             for pattern in sign_patterns(k):
                 assert SignPattern.from_label(pattern.label) == pattern
 
+    def test_canonical_channel_order(self):
+        """Emission before absorption at each position, the first phonon
+        slowest: the order of every breakdown and CSV column."""
+        labels = {k: [p.label for p in sign_patterns(k)] for k in (1, 2, 3)}
+        assert labels == {
+            1: ["+", "-"],
+            2: ["++", "+-", "-+", "--"],
+            3: ["+++", "++-", "+-+", "+--", "-++", "-+-", "--+", "---"],
+        }
+
     def test_counts(self):
         assert len(sign_patterns(1)) == 2
         assert len(sign_patterns(2)) == 4
