@@ -11,6 +11,7 @@ result container are reused.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -97,10 +98,11 @@ class ModelSpec:
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
         lo, hi = self.freq_range
-        if not 0.0 < lo <= hi:
-            raise ValueError("freq_range must satisfy 0 < low <= high")
-        if self.gap < 0.0 or self.excited_offset < 0.0 or self.coupling_scale < 0.0:
-            raise ValueError("gap, excited_offset, coupling_scale must be >= 0")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError("freq_range must satisfy 0 < low <= high, both finite")
+        if not all(0.0 <= x < math.inf
+                   for x in (self.gap, self.excited_offset, self.coupling_scale)):
+            raise ValueError("gap, excited_offset, coupling_scale must be finite and >= 0")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "freq_range", (float(lo), float(hi)))
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,28 @@ class TestInputValidation:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "internal error" not in captured.err
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["gap", "excited_offset", "coupling_scale",
+                                       "freq_low", "freq_high"])
+    def test_model_spec_with_a_non_finite_value_exits_1(self, tmp_path, capsys, field,
+                                                        value):
+        entry = {"freq_low": {"freq_range": [value, 200.0]},
+                 "freq_high": {"freq_range": [20.0, value]}}.get(field, {field: value})
+        path = tmp_path / "spec.json"
+        # json writes Infinity and NaN
+        path.write_text(json.dumps({"units": "cm-1",
+                                    "model_spec": {"seed": 1, "n_modes": 5, **entry}}))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run_cli(["t1", "--input", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "internal error" not in captured.err
+        assert "RuntimeWarning" not in captured.err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     def test_oracle_check_rejects_bad_threads(self, capsys, threads):

@@ -56,9 +56,15 @@ def swept_in_pieces(sweep, grid, pieces):
 
 
 class TestSweepsEqualPerPointEvaluation:
-    @pytest.mark.parametrize("pieces", [1, 2])
-    def test_temperature_sweep_is_bit_identical(self, shape, small_model, pieces):
-        temps = [40.0, 150.0, 300.0, 700.0]
+    @pytest.mark.parametrize("pieces, temps, chunk", [
+        (1, [40.0, 150.0, 300.0, 700.0], rates.CHUNK),
+        (2, [40.0, 150.0, 300.0, 700.0], rates.CHUNK),
+        # many rows over many chunks, from all occupations exactly 0 upwards
+        (1, np.geomspace(1e-306, 1e6, 33), 7),
+    ], ids=["1", "2", "33-rows-chunk-7"])
+    def test_temperature_sweep_is_bit_identical(self, shape, small_model, monkeypatch,
+                                                pieces, temps, chunk):
+        monkeypatch.setattr(rates, "CHUNK", chunk)
         t1 = swept_in_pieces(
             lambda grid: sweep_temperature(small_model, grid, (2, 4, 6), shape),
             temps, pieces)
@@ -138,11 +144,14 @@ class TestCutoffInvariants:
                 assert all(y <= x for x, y in zip(t1, t1[1:]))
 
     def test_full_limit_agrees_with_the_one_point_rate(self, shape, small_model):
+        """A limit of all modes sums the same terms in the same order."""
         n = small_model.bath.n_modes
-        full = rate_three_phonon(2, 0, *small_model, 300.0, shape)
-        (limited,) = rate_at_order(6, 2, 0, *small_model, 300.0, shape, mode_limits=[n])
-        for pattern, value in full.per_channel.items():
-            assert limited.per_channel[pattern] == pytest.approx(value, rel=1e-12)
+        for order, (b, a) in itertools.product((2, 4, 6), ((2, 0), (1, 0))):
+            full = rate_at_order(order, b, a, *small_model, 300.0, shape)
+            (limited,) = rate_at_order(order, b, a, *small_model, 300.0, shape,
+                                       mode_limits=[n])
+            assert limited.per_channel == full.per_channel
+            assert limited.total == full.total
 
 
 class TestFindCrossover:
