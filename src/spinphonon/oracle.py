@@ -11,7 +11,6 @@ result container are reused.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -98,9 +97,9 @@ class ModelSpec:
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
         lo, hi = self.freq_range
-        if not 0.0 < lo <= hi < math.inf:
+        if not 0.0 < lo <= hi < np.inf:
             raise ValueError("freq_range must satisfy 0 < low <= high, both finite")
-        if not all(0.0 <= x < math.inf
+        if not all(0.0 <= x < np.inf
                    for x in (self.gap, self.excited_offset, self.coupling_scale)):
             raise ValueError("gap, excited_offset, coupling_scale must be finite and >= 0")
         object.__setattr__(self, "seed", int(self.seed))

@@ -23,14 +23,11 @@ stored whole.
 
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
-several coupling scales. Every point is a row of one Bose factor table per
-sign: n + 1 (emit) or n (absorb) per mode at the point's temperature, zero
-above its mode limit. Each chunk is evaluated vectorized on the calling
-thread: its |A|^2 is computed once, and the chunk becomes one points x
-tuples block, at most points x (CHUNK + M) floats, summed along its rows.
-The chunk partial sums are added in chunk order, so results are bit-stable
-from run to run. The ``threads`` argument of the public rate functions is
-validated (at least 1) and otherwise ignored.
+several coupling scales. Each chunk is evaluated vectorized on the calling
+thread; its |A|^2 is computed once and reduced against every point, all
+temperatures in one block, and the chunk partial sums are added in chunk
+order, so results are bit-stable from run to run. The ``threads`` argument
+of the public rate functions is validated (at least 1) and otherwise ignored.
 
 Before its chunk loop, a rate call tabulates its source's amplitudes as
 one recursion over levels, each adding one mode and one denominator.
@@ -172,8 +169,7 @@ def _weights(d: np.ndarray, shape: Lineshape) -> np.ndarray:
 def _bose_product(
     factors: dict[int, np.ndarray], sel: tuple[np.ndarray, ...], signs: tuple[int, ...]
 ) -> np.ndarray:
-    """Points x tuples: each phonon's column of ``factors[sign]``, at its
-    mode, multiplied left to right."""
+    """Temperatures x tuples: n + 1 per emitted, n per absorbed phonon, left to right."""
     product = 1.0
     for s, ix in zip(signs, sel):
         product = product * np.take(factors[s], ix, axis=1)
@@ -361,9 +357,9 @@ def _caller_stacklevel() -> int:
 class _Points(NamedTuple):
     """Validated points of one rate evaluation (see ``rate_at_order``)."""
 
-    #: sign -> points x M Bose factors, n + 1 (EMIT) or n (ABSORB) at the
-    #: point's temperature, zero for the modes above its mode limit
+    #: sign -> temperatures x M Bose factors, n + 1 (EMIT) or n (ABSORB)
     factors: dict[int, np.ndarray]
+    limits: np.ndarray | None
     #: the swept coupling scales, or the model's own scale alone
     scales: list[float]
     #: one point given as scalars, reported as one RateBreakdown
@@ -390,7 +386,7 @@ def _check_points(
         )
     if temperatures.ndim == 1 and not temperatures.size:
         raise ValueError("temperatures must not be empty")
-    keep = 1.0
+    limits = None
     if mode_limits is not None:
         limits = np.asarray(mode_limits)
         if (limits.ndim != 1 or not limits.size
@@ -401,7 +397,6 @@ def _check_points(
                 "mode_limits must be a non-empty, non-decreasing 1-d list of "
                 f"integers in [0, {bath.n_modes}]"
             )
-        keep = np.arange(bath.n_modes) < limits[:, None]
     if scales is not None:
         scales = np.asarray(scales, dtype=float)
         if (scales.ndim != 1 or not scales.size
@@ -410,11 +405,10 @@ def _check_points(
                 "coupling scales must be a non-empty 1-d list of finite, "
                 "positive numbers"
             )
-        scales = scales.tolist()
     occ = np.array([_occupations(bath.frequencies, float(t))
                     for t in np.atleast_1d(temperatures)])
-    factors = {EMIT: (occ + 1.0) * keep, ABSORB: occ * keep}
-    return _Points(factors, [own_scale] if scales is None else scales, axes == 0)
+    scales = [own_scale] if scales is None else scales.tolist()
+    return _Points({EMIT: occ + 1.0, ABSORB: occ}, limits, scales, axes == 0)
 
 
 def _rates(
@@ -439,25 +433,33 @@ def _rates(
     takes its own amplitudes and Bose factors, sums its chunks in chunk
     order and warns on its own smallest |denominator|, so its rates and
     warning are those of a call of its own. A chunk's contribution
-    |A|^2 * (Bose product * lineshape) is formed for every point at once, as
-    one points x tuples block, and summed along each point's row.
+    |A|^2 * (Bose product * lineshape) is formed as one temperatures x tuples
+    block and reduced at once: summed per row, or binned by mode limit.
     """
     v = couplings.matrices
     # each source's tables beside its destination's couplings, [c, q] = V[q, b, c]
     tabs = [(tables, np.ascontiguousarray(v[:, dest, :].T)) for tables, dest in sources]
-    n_points = len(points.factors[EMIT])
+    n_sums = len(points.factors[EMIT]) if points.limits is None else len(points.limits)
     sums: list[dict[SignPattern, np.ndarray]] = [{} for _ in tabs]
     min_abs = [np.inf] * len(tabs)
     for pattern in sign_patterns(order // 2):
         signs = [pattern.signs, tuple(-s for s in pattern.signs)]
-        totals = [np.zeros(n_points) for _ in tabs]
+        totals = [np.zeros(n_sums) for _ in tabs]
         for sel, mismatch in _chunks(omega_ba, pattern, bath, shape):
             line = _weights(mismatch, shape)
+            if points.limits is not None:
+                # bin by the first limit admitting the tuple's largest mode;
+                # tuples no limit admits land in the dropped last bin
+                first = np.searchsorted(points.limits, sel[-1], side="right")
             for k, (tables, v_b) in enumerate(tabs):
                 amp2, low = _amp2(sel, signs[k], tables, v_b)
                 min_abs[k] = min(min_abs[k], low)
-                bose = _bose_product(points.factors, sel, signs[k])
-                totals[k] += np.sum(amp2 * (bose * line), axis=1)
+                contrib = amp2 * (_bose_product(points.factors, sel, signs[k]) * line)
+                if points.limits is None:
+                    totals[k] += np.sum(contrib, axis=1)
+                else:
+                    binned = np.bincount(first, contrib[0], n_sums + 1)
+                    totals[k] += np.cumsum(binned[:n_sums])
         for k, total in enumerate(totals):
             sums[k][SignPattern(signs[k])] = total
     out = []
@@ -471,7 +473,7 @@ def _rates(
             )
         out.append([
             _breakdown(order, {p: float(s[k]) for p, s in channel_sums.items()}, lam)
-            for k in range(n_points) for lam in points.scales
+            for k in range(n_sums) for lam in points.scales
         ])
     return out
 
@@ -501,19 +503,17 @@ def rate_at_order(
     - ``mode_limits``, non-decreasing mode counts at one temperature:
       point p keeps only the lowest ``mode_limits[p]`` modes, which is
       ``restrict_bath`` at a cutoff between mode ``mode_limits[p] - 1``
-      and the next. Each point's channel sums run over the same tuples, in
-      the same order, with exact zeros for the tuples above its limit, so
-      they never decrease along the list;
+      and the next. Each point's channel sums are running sums of
+      nonnegative terms, so they never decrease along the list;
     - ``scales``, coupling scales that replace ``couplings.scale``; each
       rate carries its scale as the exact factor scale**order.
 
     Every surviving tuple's amplitude is evaluated once per call,
     whatever the number of points. The values at each temperature or
-    scale are bit-identical to a one-point call there, and so are those at
-    a mode limit of all modes; lower mode limits agree with
-    ``restrict_bath`` to rounding, since its chunks are cut elsewhere.
-    ``threads`` must be at least 1 and is otherwise ignored: the kernel
-    runs on the calling thread.
+    scale are bit-identical to a one-point call there; mode-limit points
+    agree with ``restrict_bath`` to rounding, since their sums run in
+    another order. ``threads`` must be at least 1 and is otherwise ignored:
+    the kernel runs on the calling thread.
 
     ``_pair`` is private to ``order_generator_matrices``, which passes one
     dict per source a to the calls b <- a and then a <- b of each pair
