@@ -13,21 +13,21 @@ The coupling scale multiplies the finished channel sum as the exact factor
 lambda**order. Every sum runs over index-ordered modes, pairs or triples
 pruned with the windowed lineshape, since only tuples whose energy
 mismatch lies inside window * sigma can contribute. One pruner serves
-every order and is the only place the window is cut: it locates the
-admissible last index by binary search on the sorted mode frequencies and
-keeps the candidates whose exact mismatch, folded left to right, lies
-inside the window. Pruning and evaluation run one chunk at a time: the
-pruner hands each chunk of survivors to the kernel, with their
-mismatches, as soon as it is filtered, so no channel's tuples are ever
-stored whole.
+every order and is the only place the window and the mode limits are cut:
+it locates the admissible last index by binary search on the sorted mode
+frequencies, splits that range at the mode limits into groups, and keeps
+the candidates whose exact mismatch, folded left to right, lies inside the
+window. Pruning and evaluation run one chunk at a time: the pruner hands
+each chunk of survivors to the kernel, with their group and mismatches, as
+soon as it is filtered, so no channel's tuples are ever stored whole.
 
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
 several coupling scales. Each chunk is evaluated vectorized on the calling
-thread; its |A|^2 is computed once and reduced against every point, all
-temperatures in one block, and the chunk partial sums are added in chunk
-order, so results are bit-stable from run to run. The ``threads`` argument
-of the public rate functions is validated (at least 1) and otherwise ignored.
+thread; its |A|^2 is computed once and reduced against every point: one
+temperatures x tuples block, its rows summed into the chunk's group, added
+in chunk order, so results are bit-stable from run to run. The ``threads``
+argument of the public rate functions is validated (at least 1) and ignored.
 
 Before its chunk loop, a rate call tabulates its source's amplitudes as
 one recursion over levels, each adding one mode and one denominator.
@@ -195,18 +195,19 @@ def _chunks(
     pattern: SignPattern,
     bath: PhononBath,
     shape: Lineshape,
-) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
-    """Surviving tuples of one channel, a chunk at a time, as one index
-    array per phonon and the tuples' mismatches.
+    limits: Sequence[int],
+) -> Iterator[tuple[int, tuple[np.ndarray, ...], np.ndarray]]:
+    """Surviving tuples of one channel, a chunk at a time, as the chunk's
+    group, one index array per phonon and the tuples' mismatches.
 
-    The tuples are strictly index-ordered, in lexicographic order, with
-    mismatch ((omega_ba + s0 w_i) + s1 w_j) + s2 w_k inside
-    [-window * sigma, window * sigma]; this is the only place the window is
-    cut. Every order starts from the empty prefix, and each phonon but the
-    last extends every prefix by every later index. A chunk ends after the
-    prefix at which the running count of last-phonon candidates passes a
-    multiple of CHUNK, so it holds fewer than CHUNK + M candidates; empty
-    chunks are skipped.
+    The tuples are strictly index-ordered, with mismatch ((omega_ba + s0 w_i)
+    + s1 w_j) + s2 w_k inside [-window * sigma, window * sigma] and last
+    index in group g = [limits[g - 1], limits[g]) (from 0): the only place
+    the window and the mode limits are cut. Each phonon but the last extends
+    every prefix, from the empty one, by every later index. The groups come
+    in order, each lexicographic; a chunk ends after the prefix at which the
+    group's running count of last-phonon candidates passes a multiple of
+    CHUNK, so it holds fewer than CHUNK + M candidates; empty ones are skipped.
     """
     m = bath.n_modes
     freqs = bath.frequencies
@@ -223,15 +224,22 @@ def _chunks(
         mismatch - half, mismatch + half)
     start = np.maximum(np.searchsorted(freqs, lo, side="left"), last + 1)
     stop = np.searchsorted(freqs, hi, side="right")
-    cuts = np.flatnonzero(np.diff(np.cumsum(np.maximum(stop - start, 0)) // CHUNK,
-                                  prepend=0)) + 1
-    for p0, p1 in zip([0, *cuts], [*cuts, start.size]):
-        rows, ix = _expand(start[p0:p1], stop[p0:p1])
-        d = mismatch[p0:p1][rows] + s * freqs[ix]
-        keep = np.abs(d) <= half
-        if keep.any():
-            rows = rows[keep] + p0
-            yield tuple(prev[rows] for prev in prefix) + (ix[keep],), d[keep]
+    # drop the prefixes without candidates once; each group keeps its live ones
+    some = np.flatnonzero(stop > start)
+    prefix, mismatch, start, stop = ([ix[some] for ix in prefix], mismatch[some],
+                                     start[some], stop[some])
+    for group, (low, high) in enumerate(zip([0, *limits[:-1]], limits)):
+        first, end = np.maximum(start, low), np.minimum(stop, high)
+        live = np.flatnonzero(end > first)
+        cuts = np.flatnonzero(np.diff(np.cumsum(end[live] - first[live]) // CHUNK,
+                                      prepend=0)) + 1
+        for part in np.split(live, cuts):
+            rows, ix = _expand(first[part], end[part])
+            d = mismatch[part][rows] + s * freqs[ix]
+            keep = np.abs(d) <= half
+            if keep.any():
+                rows = part[rows[keep]]
+                yield group, tuple(prev[rows] for prev in prefix) + (ix[keep],), d[keep]
 
 
 def prune_triples(
@@ -247,7 +255,8 @@ def prune_triples(
     """
     if len(pattern) != 3:
         raise ValueError("triple pruning requires a three-phonon sign pattern")
-    chunks = [np.column_stack(sel) for sel, _ in _chunks(omega_ba, pattern, bath, shape)]
+    chunks = [np.column_stack(sel)
+              for _, sel, _ in _chunks(omega_ba, pattern, bath, shape, [bath.n_modes])]
     return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
 
 
@@ -359,7 +368,8 @@ class _Points(NamedTuple):
 
     #: sign -> temperatures x M Bose factors, n + 1 (EMIT) or n (ABSORB)
     factors: dict[int, np.ndarray]
-    limits: np.ndarray | None
+    #: the mode limits, or all M modes alone
+    limits: np.ndarray
     #: the swept coupling scales, or the model's own scale alone
     scales: list[float]
     #: one point given as scalars, reported as one RateBreakdown
@@ -386,29 +396,25 @@ def _check_points(
         )
     if temperatures.ndim == 1 and not temperatures.size:
         raise ValueError("temperatures must not be empty")
-    limits = None
-    if mode_limits is not None:
-        limits = np.asarray(mode_limits)
-        if (limits.ndim != 1 or not limits.size
-                or not np.issubdtype(limits.dtype, np.integer)
-                or np.any(limits < 0) or np.any(limits > bath.n_modes)
-                or np.any(np.diff(limits) < 0)):
-            raise ValueError(
-                "mode_limits must be a non-empty, non-decreasing 1-d list of "
-                f"integers in [0, {bath.n_modes}]"
-            )
-    if scales is not None:
-        scales = np.asarray(scales, dtype=float)
-        if (scales.ndim != 1 or not scales.size
-                or not np.all(np.isfinite(scales) & (scales > 0.0))):
-            raise ValueError(
-                "coupling scales must be a non-empty 1-d list of finite, "
-                "positive numbers"
-            )
+    limits = np.asarray([bath.n_modes] if mode_limits is None else mode_limits)
+    if (limits.ndim != 1 or not limits.size
+            or not np.issubdtype(limits.dtype, np.integer)
+            or np.any(limits < 0) or np.any(limits > bath.n_modes)
+            or np.any(np.diff(limits) < 0)):
+        raise ValueError(
+            "mode_limits must be a non-empty, non-decreasing 1-d list of "
+            f"integers in [0, {bath.n_modes}]"
+        )
+    scales = np.asarray([own_scale] if scales is None else scales, dtype=float)
+    if (scales.ndim != 1 or not scales.size
+            or not np.all(np.isfinite(scales) & (scales > 0.0))):
+        raise ValueError(
+            "coupling scales must be a non-empty 1-d list of finite, "
+            "positive numbers"
+        )
     occ = np.array([_occupations(bath.frequencies, float(t))
                     for t in np.atleast_1d(temperatures)])
-    scales = [own_scale] if scales is None else scales.tolist()
-    return _Points({EMIT: occ + 1.0, ABSORB: occ}, limits, scales, axes == 0)
+    return _Points({EMIT: occ + 1.0, ABSORB: occ}, limits, scales.tolist(), axes == 0)
 
 
 def _rates(
@@ -434,34 +440,28 @@ def _rates(
     order and warns on its own smallest |denominator|, so its rates and
     warning are those of a call of its own. A chunk's contribution
     |A|^2 * (Bose product * lineshape) is formed as one temperatures x tuples
-    block and reduced at once: summed per row, or binned by mode limit.
+    block and summed per row into the chunk's mode-limit group; a limit's
+    point is the running sum of the groups up to its own.
     """
     v = couplings.matrices
     # each source's tables beside its destination's couplings, [c, q] = V[q, b, c]
     tabs = [(tables, np.ascontiguousarray(v[:, dest, :].T)) for tables, dest in sources]
-    n_sums = len(points.factors[EMIT]) if points.limits is None else len(points.limits)
-    sums: list[dict[SignPattern, np.ndarray]] = [{} for _ in tabs]
+    sums: list[dict[SignPattern, list[float]]] = [{} for _ in tabs]
     min_abs = [np.inf] * len(tabs)
     for pattern in sign_patterns(order // 2):
         signs = [pattern.signs, tuple(-s for s in pattern.signs)]
-        totals = [np.zeros(n_sums) for _ in tabs]
-        for sel, mismatch in _chunks(omega_ba, pattern, bath, shape):
+        totals = [np.zeros((len(points.limits), len(points.factors[EMIT]))) for _ in tabs]
+        for g, sel, mismatch in _chunks(omega_ba, pattern, bath, shape, points.limits):
             line = _weights(mismatch, shape)
-            if points.limits is not None:
-                # bin by the first limit admitting the tuple's largest mode;
-                # tuples no limit admits land in the dropped last bin
-                first = np.searchsorted(points.limits, sel[-1], side="right")
             for k, (tables, v_b) in enumerate(tabs):
                 amp2, low = _amp2(sel, signs[k], tables, v_b)
                 min_abs[k] = min(min_abs[k], low)
-                contrib = amp2 * (_bose_product(points.factors, sel, signs[k]) * line)
-                if points.limits is None:
-                    totals[k] += np.sum(contrib, axis=1)
-                else:
-                    binned = np.bincount(first, contrib[0], n_sums + 1)
-                    totals[k] += np.cumsum(binned[:n_sums])
+                # an overflowing Bose factor leaves a non-finite rate for _breakdown
+                with np.errstate(over="ignore", invalid="ignore"):
+                    contrib = amp2 * (_bose_product(points.factors, sel, signs[k]) * line)
+                totals[k][g] += np.sum(contrib, axis=1)
         for k, total in enumerate(totals):
-            sums[k][SignPattern(signs[k])] = total
+            sums[k][SignPattern(signs[k])] = np.cumsum(total, axis=0).ravel().tolist()
     out = []
     for channel_sums, low in zip(sums, min_abs):
         if low < shape.eta / 10.0:
@@ -471,10 +471,8 @@ def _rates(
                 NearResonantDenominatorWarning,
                 stacklevel=_caller_stacklevel(),
             )
-        out.append([
-            _breakdown(order, {p: float(s[k]) for p, s in channel_sums.items()}, lam)
-            for k in range(n_sums) for lam in points.scales
-        ])
+        out.append([_breakdown(order, dict(zip(channel_sums, point)), lam)
+                    for point in zip(*channel_sums.values()) for lam in points.scales])
     return out
 
 
@@ -503,17 +501,17 @@ def rate_at_order(
     - ``mode_limits``, non-decreasing mode counts at one temperature:
       point p keeps only the lowest ``mode_limits[p]`` modes, which is
       ``restrict_bath`` at a cutoff between mode ``mode_limits[p] - 1``
-      and the next. Each point's channel sums are running sums of
-      nonnegative terms, so they never decrease along the list;
+      and the next. Its channel sums are running sums over the groups of
+      tuples between consecutive limits, so they never decrease along the list;
     - ``scales``, coupling scales that replace ``couplings.scale``; each
       rate carries its scale as the exact factor scale**order.
 
     Every surviving tuple's amplitude is evaluated once per call,
     whatever the number of points. The values at each temperature or
-    scale are bit-identical to a one-point call there; mode-limit points
-    agree with ``restrict_bath`` to rounding, since their sums run in
-    another order. ``threads`` must be at least 1 and is otherwise ignored:
-    the kernel runs on the calling thread.
+    scale, and at one limit of all modes, are bit-identical to a one-point
+    call there; other mode-limit points agree with ``restrict_bath`` to
+    rounding, since their sums run in another order. ``threads`` must be at
+    least 1 and is otherwise ignored: the kernel runs on the calling thread.
 
     ``_pair`` is private to ``order_generator_matrices``, which passes one
     dict per source a to the calls b <- a and then a <- b of each pair

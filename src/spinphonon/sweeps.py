@@ -114,10 +114,10 @@ def sweep_cutoff(
     Each point keeps the modes at or below its cutoff; a cutoff below the
     lowest mode leaves nothing to relax through and yields the
     infinite-T1 sentinel. Tuples are pruned once, on the bath below the
-    largest cutoff, and each one's contribution is added to every point
-    whose cutoff admits its highest mode. The rates are therefore running
-    sums of nonnegative terms, and T1 never increases along the axis. They
-    agree with a separate evaluation on each restricted bath to rounding.
+    largest cutoff, grouped by the cutoff interval of their highest mode,
+    and the rates are running sums of the groups, so T1 never increases
+    along the axis. A cutoff above every mode gives the one-point T1 exactly;
+    others agree with a separate evaluation per restricted bath to rounding.
     """
     cuts = _axis(cutoffs)
     sub = restrict_bath(model, float(cuts[-1]))

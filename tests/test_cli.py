@@ -264,8 +264,8 @@ class TestInputValidation:
         assert captured.out == ""
         assert "finite" in captured.err
 
-    # Bose factors near 1e300 K overflow, so the generator holds inf and NaN
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # Bose factors near 1e300 K overflow: the error names the order, and
+    # no numpy warning comes before it
     @pytest.mark.parametrize("n_states", [2, 3])
     @pytest.mark.parametrize("command", [
         ["t1", "--temp", "1e300"],
@@ -275,10 +275,14 @@ class TestInputValidation:
     ])
     def test_overflowing_rates_exit_1(self, tmp_path, capsys, command, n_states):
         model = gen_model_file(tmp_path, seed=1, n_states=n_states, n_modes=10)
-        assert run_cli([*command, "--input", str(model)]) == 1
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli([*command, "--input", str(model)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflowed" in captured.err
+        assert "RuntimeWarning" not in captured.err
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
     def test_non_finite_coupling_exits_1_as_bad_input(self, tmp_path, capsys):
         path = gen_model_file(tmp_path, seed=1, n_modes=10)

@@ -144,11 +144,17 @@ class TestCutoffInvariants:
                 assert all(y <= x for x, y in zip(t1, t1[1:]))
 
     def test_full_limit_agrees_with_the_one_point_rate(self, shape, small_model):
+        """A single limit of all modes makes the one-point call's chunks, so
+        its rates are the same numbers."""
         n = small_model.bath.n_modes
-        full = rate_three_phonon(2, 0, *small_model, 300.0, shape)
-        (limited,) = rate_at_order(6, 2, 0, *small_model, 300.0, shape, mode_limits=[n])
-        for pattern, value in full.per_channel.items():
-            assert limited.per_channel[pattern] == pytest.approx(value, rel=1e-12)
+        n_states = small_model.system.n_states
+        for order, (b, a) in itertools.product((2, 4, 6),
+                                               itertools.permutations(range(n_states), 2)):
+            full = rate_at_order(order, b, a, *small_model, 300.0, shape)
+            (limited,) = rate_at_order(order, b, a, *small_model, 300.0, shape,
+                                       mode_limits=[n])
+            assert limited.per_channel == full.per_channel, (order, b, a)
+            assert limited.total == full.total, (order, b, a)
 
 
 class TestFindCrossover:

@@ -104,10 +104,11 @@ def test_mirror_channels_prune_to_equal_tuples(drawn, shape):
                               prune_triples(-omega, mirror(pattern), model.bath, shape))
     for order in (2, 4, 6):
         for pattern in sign_patterns(order // 2):
-            there, back = (list(rates._chunks(w, p, model.bath, shape))
+            there, back = (list(rates._chunks(w, p, model.bath, shape,
+                                              [model.bath.n_modes]))
                            for w, p in ((omega, pattern), (-omega, mirror(pattern))))
             assert len(there) == len(back)
-            for (sel, d), (sel_back, d_back) in zip(there, back):
+            for (_, sel, d), (_, sel_back, d_back) in zip(there, back):
                 assert all(np.array_equal(x, y) for x, y in zip(sel, sel_back))
                 assert np.array_equal(d_back, -d)
 

@@ -198,13 +198,21 @@ class TestPruneTriples:
                 for s, k in zip(pattern.signs, tuples.T):
                     arg = arg + s * freqs[k]
                 expected = tuples[np.abs(arg) <= shape.halfwidth]
-                for chunk in n_chunks:
+                n = freqs.size
+                # one group of all modes, then groups with empty ones among them
+                mode_limits = ([n], sorted(min(x, n) for x in (0, 2, 2, n // 2, n)))
+                for chunk, limits in itertools.product(n_chunks, mode_limits):
                     monkeypatch.setattr(rates, "CHUNK", chunk)
-                    chunks = list(rates._chunks(omega_ba, pattern, bath, shape))
-                    n_chunks[chunk] = max(n_chunks[chunk], len(chunks))
-                    got = [np.column_stack(sel) for sel, _ in chunks]
-                    assert np.array_equal(np.concatenate([expected[:0], *got]), expected), (
-                        chunk, freqs.size, order, omega_ba, pattern.label)
+                    chunks = list(rates._chunks(omega_ba, pattern, bath, shape, limits))
+                    if len(limits) == 1:
+                        n_chunks[chunk] = max(n_chunks[chunk], len(chunks))
+                    groups = [g for g, _, _ in chunks]
+                    assert groups == sorted(groups)
+                    for g, (low, high) in enumerate(zip([0, *limits[:-1]], limits)):
+                        got = [np.column_stack(sel) for h, sel, _ in chunks if h == g]
+                        want = expected[(low <= expected[:, -1]) & (expected[:, -1] < high)]
+                        assert np.array_equal(np.concatenate([want[:0], *got]), want), (
+                            chunk, limits, g, n, order, omega_ba, pattern.label)
                     if order == 6:
                         assert np.array_equal(
                             prune_triples(omega_ba, pattern, bath, shape), expected)
@@ -221,8 +229,8 @@ class TestPruneTriples:
         for (b, a), order in itertools.product(((1, 0), (0, 1)), (2, 4, 6)):
             omega_ba = model.system.transition_frequency(b, a)
             for pattern in sign_patterns(order // 2):
-                for sel, mismatch in rates._chunks(omega_ba, pattern,
-                                                   model.bath, shape):
+                for _, sel, mismatch in rates._chunks(omega_ba, pattern, model.bath,
+                                                      shape, [model.bath.n_modes]):
                     fold = omega_ba
                     for s, ix in zip(pattern.signs, sel):
                         fold = fold + s * freqs[ix]
@@ -241,8 +249,8 @@ class TestPruneTriples:
         most = {}
         for order in (2, 4, 6):
             for pattern in sign_patterns(order // 2):
-                sizes = [sel[0].size for sel, _ in
-                         rates._chunks(omega_ba, pattern, model.bath, shape)]
+                sizes = [sel[0].size for _, sel, _ in
+                         rates._chunks(omega_ba, pattern, model.bath, shape, [m])]
                 assert all(0 < size < rates.CHUNK + m for size in sizes)
                 most[order] = max(most.get(order, 0), len(sizes))
         # the bound only says something about channels that have been cut
