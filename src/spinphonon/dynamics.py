@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import Lineshape, Model, validate_model
-from .rates import rate_at_order
+from .rates import _single_point, rate_at_order
 
 _VALID_ORDERS = (2, 4, 6)
 
@@ -101,7 +101,7 @@ def order_generator_matrices(
     orders = _check_orders(orders)
     system, bath, couplings = model
     n = system.n_states
-    single = np.ndim(temperature) == 0 and mode_limits is None and scales is None
+    single = _single_point(temperature, mode_limits, scales)
     out: dict[int, np.ndarray] = {}
     for order in orders:
         m = None

@@ -19,7 +19,10 @@ frequencies, splits that range at the mode limits into groups, and keeps
 the candidates whose exact mismatch, folded left to right, lies inside the
 window. Pruning and evaluation run one chunk at a time: the pruner hands
 each chunk of survivors to the kernel, with their group and mismatches, as
-soon as it is filtered, so no channel's tuples are ever stored whole.
+soon as it is filtered, so no channel's tuples are ever stored whole. A
+chunk comes as runs of tuples that share a prefix (all phonons but the
+last), each prefix given once with the run's last indices; every index
+array is intp, so no gather converts its index.
 
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
@@ -43,15 +46,21 @@ n = 2, 11.5 MB at n = 4) plus 2 M^2 reals of minima (1.4 MB at M = 300),
 shared read-only by all chunks. At every order, the amplitude of a k-tuple
 is the sum over its first mode p of V^p[b, :] dotted with the level-(k - 1)
 entry of the other modes: one gather and one n-term dot per first mode, no
-division.
+division. A chunk is evaluated per prefix run: what depends on the prefix
+alone (the entry of the prefix set that the last mode's couplings dot, with
+its minimum, the destination's couplings at the prefix modes and the prefix
+phonons' Bose factors) is gathered once per prefix and expanded to the run's
+tuples. Each tuple's products and sums take the same operands in the same
+order as when gathered tuple by tuple, so its value does not depend on the
+runs.
 
 The tables do not depend on b, and channel -s of a <- b keeps the tuples of
 channel s of b <- a at exactly negated mismatches, so a generator walks the
 unordered pairs {a, b} and evaluates both directions on every chunk of
-b <- a, each with its own source's tables: its call for b <- a makes
-a <- b too and hands it to its call for a <- b. The tables of a serve
-all its pairs a < b and those of b one pair, so two sets are alive at
-once.
+b <- a, each with its own source's tables at the same columns, which are
+computed once per chunk: its call for b <- a makes a <- b too and hands it
+to its call for a <- b. The tables of a serve all its pairs a < b and those
+of b one pair, so two sets are alive at once.
 """
 
 from __future__ import annotations
@@ -166,14 +175,16 @@ def _weights(d: np.ndarray, shape: Lineshape) -> np.ndarray:
     return (s / np.pi) / (d * d + s * s)
 
 
-def _bose_product(
-    factors: dict[int, np.ndarray], sel: tuple[np.ndarray, ...], signs: tuple[int, ...]
-) -> np.ndarray:
-    """Temperatures x tuples: n + 1 per emitted, n per absorbed phonon, left to right."""
-    product = 1.0
-    for s, ix in zip(signs, sel):
+def _bose_product(factors: dict[int, np.ndarray], prefix: tuple[np.ndarray, ...],
+                  rows: np.ndarray, last: np.ndarray,
+                  signs: tuple[int, ...]) -> np.ndarray:
+    """Temperatures x tuples: n + 1 per emitted, n per absorbed phonon, left to
+    right; the prefix phonons' factors are multiplied once per prefix, then
+    expanded to its tuples by ``rows``."""
+    product = np.ones((len(factors[EMIT]), 1))
+    for s, ix in zip(signs, prefix):
         product = product * np.take(factors[s], ix, axis=1)
-    return product
+    return np.take(product, rows, axis=1) * np.take(factors[signs[-1]], last, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +192,30 @@ def _bose_product(
 
 
 def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray]:
-    """Flat int32 (row, index) pairs for every index in [start[row], stop[row]),
+    """Flat intp (row, index) pairs for every index in [start[row], stop[row]),
     row by row; ``stop`` may be one bound for every row."""
     counts = np.maximum(stop - start, 0)
-    rows = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
-    index = np.repeat((start - (np.cumsum(counts) - counts)).astype(np.int32), counts)
-    index += np.arange(rows.size, dtype=np.int32)
+    rows = np.repeat(np.arange(counts.size), counts)
+    index = np.repeat(start - (np.cumsum(counts) - counts), counts)
+    index += np.arange(rows.size)
     return rows, index
+
+
+def _owners(start: np.ndarray, stop: np.ndarray,
+            limits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes whose last-index range [start, stop) reaches into each
+    group [limits[g - 1], limits[g]), in prefix order: those of group g are
+    owner[bounds[g]:bounds[g + 1]]."""
+    # a prefix with candidates reaches from the group of its first to that of
+    # its last; its (prefix, group) pairs, sorted stably by group, list every
+    # group's prefixes in order
+    some = np.flatnonzero(stop > start)
+    g_first = np.searchsorted(limits, start[some], side="right")
+    g_last = np.searchsorted(limits, stop[some] - 1, side="right")
+    owner, group_of = _expand(g_first, np.minimum(g_last, limits.size - 1) + 1)
+    by_group = np.argsort(group_of, kind="stable")
+    return (some[owner[by_group]],
+            np.searchsorted(group_of[by_group], np.arange(limits.size + 1)))
 
 
 def _chunks(
@@ -196,16 +224,21 @@ def _chunks(
     bath: PhononBath,
     shape: Lineshape,
     limits: Sequence[int],
-) -> Iterator[tuple[int, tuple[np.ndarray, ...], np.ndarray]]:
-    """Surviving tuples of one channel, a chunk at a time, as the chunk's
-    group, one index array per phonon and the tuples' mismatches.
+) -> Iterator[tuple[int, tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]]:
+    """Surviving tuples of one channel, a chunk at a time, as runs that share
+    a prefix (all phonons but the last): the chunk's group, one index array
+    per prefix phonon with one entry per run, each tuple's run (``rows``,
+    non-decreasing), each tuple's last index (ascending within its run) and
+    the tuples' mismatches. Every run holds at least one tuple. All index
+    arrays are intp.
 
     The tuples are strictly index-ordered, with mismatch ((omega_ba + s0 w_i)
     + s1 w_j) + s2 w_k inside [-window * sigma, window * sigma] and last
     index in group g = [limits[g - 1], limits[g]) (from 0): the only place
     the window and the mode limits are cut. Each phonon but the last extends
     every prefix, from the empty one, by every later index. The groups come
-    in order, each lexicographic; a chunk ends after the prefix at which the
+    in order, each lexicographic and walked over only the prefixes whose
+    candidates reach into it; a chunk ends after the prefix at which the
     group's running count of last-phonon candidates passes a multiple of
     CHUNK, so it holds fewer than CHUNK + M candidates; empty ones are skipped.
     """
@@ -224,22 +257,25 @@ def _chunks(
         mismatch - half, mismatch + half)
     start = np.maximum(np.searchsorted(freqs, lo, side="left"), last + 1)
     stop = np.searchsorted(freqs, hi, side="right")
-    # drop the prefixes without candidates once; each group keeps its live ones
-    some = np.flatnonzero(stop > start)
-    prefix, mismatch, start, stop = ([ix[some] for ix in prefix], mismatch[some],
-                                     start[some], stop[some])
+    owner, bounds = _owners(start, stop, np.asarray(limits))
     for group, (low, high) in enumerate(zip([0, *limits[:-1]], limits)):
-        first, end = np.maximum(start, low), np.minimum(stop, high)
+        own = owner[bounds[group]:bounds[group + 1]]
+        first, end = np.maximum(start[own], low), np.minimum(stop[own], high)
         live = np.flatnonzero(end > first)
         cuts = np.flatnonzero(np.diff(np.cumsum(end[live] - first[live]) // CHUNK,
                                       prepend=0)) + 1
         for part in np.split(live, cuts):
             rows, ix = _expand(first[part], end[part])
+            part = own[part]
             d = mismatch[part][rows] + s * freqs[ix]
             keep = np.abs(d) <= half
-            if keep.any():
-                rows = part[rows[keep]]
-                yield group, tuple(prev[rows] for prev in prefix) + (ix[keep],), d[keep]
+            if not keep.all():
+                rows, ix, d = rows[keep], ix[keep], d[keep]
+                # the prefixes that kept no candidate leave the chunk
+                run = np.diff(rows, prepend=-1) != 0
+                part, rows = part[rows[run]], np.cumsum(run) - 1
+            if rows.size:
+                yield group, tuple(prev[part] for prev in prefix), rows, ix, d
 
 
 def prune_triples(
@@ -255,9 +291,10 @@ def prune_triples(
     """
     if len(pattern) != 3:
         raise ValueError("triple pruning requires a three-phonon sign pattern")
-    chunks = [np.column_stack(sel)
-              for _, sel, _ in _chunks(omega_ba, pattern, bath, shape, [bath.n_modes])]
-    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
+    chunks = [np.column_stack([ix[rows] for ix in prefix] + [last])
+              for _, prefix, rows, last, _ in _chunks(omega_ba, pattern, bath, shape,
+                                                       [bath.n_modes])]
+    return np.concatenate(chunks or [np.empty((0, 3), dtype=int)]).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +326,7 @@ def _column(tri_row: np.ndarray, modes: tuple[np.ndarray, ...]) -> np.ndarray:
     """Column of each ascending mode set in its level's table: 0 for the
     empty set, the mode for one, tri_row[q] + r for a pair q < r."""
     if not modes:
-        return np.zeros(1, dtype=np.int32)
+        return np.zeros(1, dtype=np.intp)
     if len(modes) == 1:
         return modes[0]
     q, r = modes
@@ -300,10 +337,11 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
                    v: np.ndarray, eta: float) -> _Tables:
     """The tables of every transition out of a, levels 0 to order / 2 - 1,
     sized in the module docstring. Each level is built one state c at a
-    time, beside a few M x M blocks of scratch."""
+    time, beside a few M x M blocks of scratch: each child's terms are one
+    flat gather from its raveled block, at an index precomputed per level."""
     m, n = v.shape[:2]
     q = np.arange(m)
-    tri_row = (q * (m - 1) - q * (q - 1) // 2 - q - 1).astype(np.int32)
+    tri_row = q * (m - 1) - q * (q - 1) // 2 - q - 1
     tables, mins = {(): np.eye(n, dtype=complex)[:, [a]]}, {(): np.full(1, np.inf)}
     modes, last = (), np.full(1, -1)
     for level in range(1, order // 2):
@@ -313,6 +351,10 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
         # child i of a set drops its i-th mode, and of a key its i-th sign
         cols = [_column(tri_row, modes[:i] + modes[i + 1:]) for i in range(level)]
         keys = list(itertools.product((EMIT, ABSORB), repeat=level))
+        # the term of child i sits at flat[i] of the raveled M x width block
+        # inner_s' = V[:, c, :] @ T_s', with one column per child set
+        width = tables[keys[0][1:]].shape[1]
+        flat = [modes[i] * width + col for i, col in enumerate(cols)]
         shift = {key: sum(s * freqs[ix] for s, ix in zip(key, modes)) for key in keys}
         for key in keys:
             tables[key] = np.empty((n, last.size), dtype=complex)
@@ -320,27 +362,55 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
             for i, col in enumerate(cols):
                 np.minimum(mins[key], mins[key[:i] + key[i + 1:]][col], out=mins[key])
         for c in range(n):
-            inner = {k: v[:, c, :] @ tables[k] for k in tables if len(k) == level - 1}
+            inner = {k: (v[:, c, :] @ tables[k]).ravel()
+                     for k in tables if len(k) == level - 1}
             for key in keys:
-                terms = [inner[key[:i] + key[i + 1:]][modes[i], col]
-                         for i, col in enumerate(cols)]
+                terms = [np.take(inner[key[:i] + key[i + 1:]], ix)
+                         for i, ix in enumerate(flat)]
                 real = d_e[c] + shift[key]
                 tables[key][c] = sum(terms[1:], terms[0]) / (real + 1j * eta)
                 np.minimum(mins[key], np.abs(real), out=mins[key])
+            # free this state's blocks before the next state's are formed
+            del inner
     return _Tables(tables, mins, tri_row)
 
 
-def _amp2(sel, signs, tab: _Tables, v_b: np.ndarray) -> tuple[np.ndarray, float]:
-    # Each first mode q takes V[q, b, :] of the destination b, the column
-    # v_b[:, q], dotted with the table entry of the other modes, which sums
-    # their orderings and carries their minima.
-    amp = np.zeros(sel[0].size, dtype=complex)
+def _columns(tri_row: np.ndarray, prefix: tuple[np.ndarray, ...], rows: np.ndarray,
+             last: np.ndarray) -> list[np.ndarray]:
+    """Per position p of a chunk's tuples, the column of the other modes in
+    their level's table: per tuple for a prefix position, whose other modes
+    end with the last one, and per prefix for the last position."""
+    cols = []
+    for p in range(len(prefix)):
+        rest = prefix[:p] + prefix[p + 1:]
+        cols.append(np.take(np.take(tri_row, rest[0]), rows) + last if rest else last)
+    return cols + [_column(tri_row, prefix)]
+
+
+def _amp2(prefix: tuple[np.ndarray, ...], rows: np.ndarray, last: np.ndarray,
+          cols: list[np.ndarray], signs: tuple[int, ...], tab: _Tables,
+          v_b: np.ndarray) -> tuple[np.ndarray, float]:
+    """|A|^2 of a chunk's tuples, and the smallest |real denominator| of
+    their table entries.
+
+    Each first mode q takes V[q, b, :] of the destination b, the column
+    v_b[:, q], dotted with the table entry of the other modes (at cols[p]),
+    which sums their orderings and carries their minima. A prefix mode's
+    couplings, and the last position's entries and minima, are gathered once
+    per prefix and expanded by ``rows``; every prefix has a tuple, so its
+    minimum is theirs.
+    """
+    amp = np.zeros(rows.size, dtype=complex)
     min_abs = np.inf
-    for p in range(len(sel)):
-        key, col = signs[:p] + signs[p + 1:], _column(tab.tri_row, sel[:p] + sel[p + 1:])
+    for p, col in enumerate(cols):
+        key = signs[:p] + signs[p + 1:]
         min_abs = min(min_abs, float(np.min(np.take(tab.mins[key], col))))
-        terms = np.take(v_b, sel[p], axis=1)
-        terms *= np.take(tab.tables[key], col, axis=1)
+        if p < len(prefix):
+            terms = np.take(np.take(v_b, prefix[p], axis=1), rows, axis=1)
+            terms *= np.take(tab.tables[key], col, axis=1)
+        else:
+            terms = np.take(v_b, last, axis=1)
+            terms *= np.take(np.take(tab.tables[key], col, axis=1), rows, axis=1)
         amp += terms.sum(axis=0)
     return amp.real**2 + amp.imag**2, min_abs
 
@@ -376,6 +446,12 @@ class _Points(NamedTuple):
     single: bool
 
 
+def _single_point(temperature, mode_limits, scales) -> bool:
+    """Whether the points (as in ``rate_at_order``) are one point given as
+    scalars, whose rate is reported as one RateBreakdown rather than a list."""
+    return np.ndim(temperature) == 0 and mode_limits is None and scales is None
+
+
 def _check_points(
     temperature: float | Sequence[float],
     mode_limits: Sequence[int] | None,
@@ -387,6 +463,7 @@ def _check_points(
 
     Temperatures are checked one by one where their occupations are formed.
     """
+    single = _single_point(temperature, mode_limits, scales)
     temperatures = np.asarray(temperature, dtype=float)
     axes = (temperatures.ndim != 0) + (mode_limits is not None) + (scales is not None)
     if temperatures.ndim > 1 or axes > 1:
@@ -414,7 +491,7 @@ def _check_points(
         )
     occ = np.array([_occupations(bath.frequencies, float(t))
                     for t in np.atleast_1d(temperatures)])
-    return _Points({EMIT: occ + 1.0, ABSORB: occ}, limits, scales.tolist(), axes == 0)
+    return _Points({EMIT: occ + 1.0, ABSORB: occ}, limits, scales.tolist(), single)
 
 
 def _rates(
@@ -446,19 +523,24 @@ def _rates(
     v = couplings.matrices
     # each source's tables beside its destination's couplings, [c, q] = V[q, b, c]
     tabs = [(tables, np.ascontiguousarray(v[:, dest, :].T)) for tables, dest in sources]
+    # both sources index their tables alike, so a chunk's columns serve both
+    tri_row = sources[0][0].tri_row
     sums: list[dict[SignPattern, list[float]]] = [{} for _ in tabs]
     min_abs = [np.inf] * len(tabs)
     for pattern in sign_patterns(order // 2):
         signs = [pattern.signs, tuple(-s for s in pattern.signs)]
         totals = [np.zeros((len(points.limits), len(points.factors[EMIT]))) for _ in tabs]
-        for g, sel, mismatch in _chunks(omega_ba, pattern, bath, shape, points.limits):
+        for g, prefix, rows, last, mismatch in _chunks(omega_ba, pattern, bath, shape,
+                                                       points.limits):
             line = _weights(mismatch, shape)
+            cols = _columns(tri_row, prefix, rows, last)
             for k, (tables, v_b) in enumerate(tabs):
-                amp2, low = _amp2(sel, signs[k], tables, v_b)
+                amp2, low = _amp2(prefix, rows, last, cols, signs[k], tables, v_b)
                 min_abs[k] = min(min_abs[k], low)
                 # an overflowing Bose factor leaves a non-finite rate for _breakdown
                 with np.errstate(over="ignore", invalid="ignore"):
-                    contrib = amp2 * (_bose_product(points.factors, sel, signs[k]) * line)
+                    bose = _bose_product(points.factors, prefix, rows, last, signs[k])
+                    contrib = amp2 * (bose * line)
                 totals[k][g] += np.sum(contrib, axis=1)
         for k, total in enumerate(totals):
             sums[k][SignPattern(signs[k])] = np.cumsum(total, axis=0).ravel().tolist()

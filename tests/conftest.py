@@ -20,6 +20,13 @@ def max_channel_dev(fast, naive) -> float:
     )
 
 
+def per_tuple(chunk):
+    """One ``rates._chunks`` chunk as (group, one index array per phonon,
+    mismatches), its prefix runs expanded to one entry per tuple."""
+    group, prefix, rows, last, mismatch = chunk
+    return group, tuple(ix[rows] for ix in prefix) + (last,), mismatch
+
+
 def hermitian(rng: np.random.Generator, n_modes: int, n_states: int) -> np.ndarray:
     raw = rng.normal(size=(n_modes, n_states, n_states)) + 1j * rng.normal(
         size=(n_modes, n_states, n_states)

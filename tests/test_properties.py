@@ -24,7 +24,7 @@ from spinphonon import (
 )
 from spinphonon import rates
 
-from conftest import hermitian
+from conftest import hermitian, per_tuple
 
 FEW = settings(max_examples=15, deadline=None)
 
@@ -104,8 +104,8 @@ def test_mirror_channels_prune_to_equal_tuples(drawn, shape):
                               prune_triples(-omega, mirror(pattern), model.bath, shape))
     for order in (2, 4, 6):
         for pattern in sign_patterns(order // 2):
-            there, back = (list(rates._chunks(w, p, model.bath, shape,
-                                              [model.bath.n_modes]))
+            there, back = (list(map(per_tuple, rates._chunks(w, p, model.bath, shape,
+                                                             [model.bath.n_modes])))
                            for w, p in ((omega, pattern), (-omega, mirror(pattern))))
             assert len(there) == len(back)
             for (_, sel, d), (_, sel_back, d_back) in zip(there, back):

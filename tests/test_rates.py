@@ -39,7 +39,7 @@ from spinphonon import (
     with_coupling_scale,
 )
 
-from conftest import hermitian, max_channel_dev, two_level_resonant_model
+from conftest import hermitian, max_channel_dev, per_tuple, two_level_resonant_model
 
 PREF = 2.0 * math.pi * CM_TO_RATE_S
 
@@ -203,7 +203,8 @@ class TestPruneTriples:
                 mode_limits = ([n], sorted(min(x, n) for x in (0, 2, 2, n // 2, n)))
                 for chunk, limits in itertools.product(n_chunks, mode_limits):
                     monkeypatch.setattr(rates, "CHUNK", chunk)
-                    chunks = list(rates._chunks(omega_ba, pattern, bath, shape, limits))
+                    chunks = [per_tuple(c) for c in
+                              rates._chunks(omega_ba, pattern, bath, shape, limits)]
                     if len(limits) == 1:
                         n_chunks[chunk] = max(n_chunks[chunk], len(chunks))
                     groups = [g for g, _, _ in chunks]
@@ -229,8 +230,8 @@ class TestPruneTriples:
         for (b, a), order in itertools.product(((1, 0), (0, 1)), (2, 4, 6)):
             omega_ba = model.system.transition_frequency(b, a)
             for pattern in sign_patterns(order // 2):
-                for _, sel, mismatch in rates._chunks(omega_ba, pattern, model.bath,
-                                                      shape, [model.bath.n_modes]):
+                for _, sel, mismatch in map(per_tuple, rates._chunks(
+                        omega_ba, pattern, model.bath, shape, [model.bath.n_modes])):
                     fold = omega_ba
                     for s, ix in zip(pattern.signs, sel):
                         fold = fold + s * freqs[ix]
@@ -250,11 +251,71 @@ class TestPruneTriples:
         for order in (2, 4, 6):
             for pattern in sign_patterns(order // 2):
                 sizes = [sel[0].size for _, sel, _ in
-                         rates._chunks(omega_ba, pattern, model.bath, shape, [m])]
+                         map(per_tuple, rates._chunks(omega_ba, pattern, model.bath,
+                                                      shape, [m]))]
                 assert all(0 < size < rates.CHUNK + m for size in sizes)
                 most[order] = max(most.get(order, 0), len(sizes))
         # the bound only says something about channels that have been cut
         assert most[4] > 1 and most[6] > 1
+
+    def test_chunks_yield_prefix_runs_that_each_own_a_tuple(self, monkeypatch):
+        """Each chunk's prefixes own a run of its tuples: every prefix owns
+        at least one, runs are in order, the last index ascends within each,
+        so a minimum taken per prefix is the minimum over the tuples."""
+        from spinphonon import rates
+
+        rng = np.random.default_rng(5)
+        baths = [
+            np.sort(rng.uniform(10.0, 400.0, size=round((64 * rates.CHUNK) ** (1 / 3)))),
+            np.array([20.0, 20.0, 20.0, 50.0, 55.0, 57.0, 62.0, 62.0, 100.0, 100.0,
+                      104.0]),
+        ]
+        shape = Lineshape(sigma=7.0)
+        n_runs = 0
+        for freqs, order, omega_ba in itertools.product(baths, (2, 4, 6), (-62.0, 0.4)):
+            m = freqs.size
+            d_e = np.array([0.0, -omega_ba])
+            tab = rates._source_tables(order, 0, d_e, freqs, hermitian(rng, m, 2),
+                                       shape.eta)
+            for pattern, chunk in itertools.product(sign_patterns(order // 2),
+                                                    (1, 5, rates.CHUNK)):
+                monkeypatch.setattr(rates, "CHUNK", chunk)
+                mins = tab.mins[pattern.signs[:-1]]
+                for _, prefix, rows, last, _ in rates._chunks(
+                        omega_ba, pattern, PhononBath(freqs), shape, [m]):
+                    runs = prefix[0].size if prefix else 1
+                    n_runs += runs
+                    assert np.array_equal(np.unique(rows), np.arange(runs))
+                    assert np.all(np.diff(rows) >= 0)
+                    assert np.all((np.diff(last) > 0) | (np.diff(rows) > 0))
+                    per_tuple_cols = rates._column(tab.tri_row,
+                                                   tuple(ix[rows] for ix in prefix))
+                    assert (np.min(mins[rates._column(tab.tri_row, prefix)])
+                            == np.min(mins[per_tuple_cols]))
+        assert n_runs > 1000
+
+    def test_prefix_whose_candidates_all_fail_the_exact_window_is_dropped(self):
+        """Mode 2 lies exactly on the binary-search bound of prefix 1, and
+        the exact left-fold mismatch of (1, 2) rounds to just above the
+        window, so prefix 1 has a candidate but keeps no tuple."""
+        from spinphonon import rates
+
+        bath = PhononBath([1.0, 4.073178205967644, 10.363080060809295])
+        shape = Lineshape(sigma=1.0, window=6.0)
+        omega_ba = -8.436258266776939
+        assert omega_ba + bath.frequencies[1] + bath.frequencies[2] > shape.halfwidth
+        (group, prefix, rows, last, _), = rates._chunks(
+            omega_ba, SignPattern((EMIT, EMIT)), bath, shape, [3])
+        assert group == 0
+        assert [ix.tolist() for ix in prefix] == [[0]]
+        assert rows.tolist() == [0, 0] and last.tolist() == [1, 2]
+
+    def test_returns_int32_rows(self):
+        bath = PhononBath([10.0, 20.0, 30.0, 40.0])
+        for sigma in (50.0, 1e-9):
+            triples = prune_triples(5.0, SignPattern((EMIT, EMIT, ABSORB)), bath,
+                                    Lineshape(sigma=sigma))
+            assert triples.dtype == np.int32 and triples.shape[1] == 3
 
     def test_strict_ordering(self):
         bath = PhononBath([10.0, 20.0, 30.0, 40.0])
