@@ -183,8 +183,8 @@ def _bose_product(factors: dict[int, np.ndarray], prefix: tuple[np.ndarray, ...]
     expanded to its tuples by ``rows``."""
     product = np.ones((len(factors[EMIT]), 1))
     for s, ix in zip(signs, prefix):
-        product = product * np.take(factors[s], ix, axis=1)
-    return np.take(product, rows, axis=1) * np.take(factors[signs[-1]], last, axis=1)
+        product = product * factors[s].take(ix, axis=1)
+    return product.take(rows, axis=1) * factors[signs[-1]].take(last, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,7 @@ def _column(tri_row: np.ndarray, modes: tuple[np.ndarray, ...]) -> np.ndarray:
     if len(modes) == 1:
         return modes[0]
     q, r = modes
-    return np.take(tri_row, q) + r
+    return tri_row.take(q) + r
 
 
 def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
@@ -365,7 +365,7 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
             inner = {k: (v[:, c, :] @ tables[k]).ravel()
                      for k in tables if len(k) == level - 1}
             for key in keys:
-                terms = [np.take(inner[key[:i] + key[i + 1:]], ix)
+                terms = [inner[key[:i] + key[i + 1:]].take(ix)
                          for i, ix in enumerate(flat)]
                 real = d_e[c] + shift[key]
                 tables[key][c] = sum(terms[1:], terms[0]) / (real + 1j * eta)
@@ -383,7 +383,7 @@ def _columns(tri_row: np.ndarray, prefix: tuple[np.ndarray, ...], rows: np.ndarr
     cols = []
     for p in range(len(prefix)):
         rest = prefix[:p] + prefix[p + 1:]
-        cols.append(np.take(np.take(tri_row, rest[0]), rows) + last if rest else last)
+        cols.append(tri_row.take(rest[0]).take(rows) + last if rest else last)
     return cols + [_column(tri_row, prefix)]
 
 
@@ -404,13 +404,13 @@ def _amp2(prefix: tuple[np.ndarray, ...], rows: np.ndarray, last: np.ndarray,
     min_abs = np.inf
     for p, col in enumerate(cols):
         key = signs[:p] + signs[p + 1:]
-        min_abs = min(min_abs, float(np.min(np.take(tab.mins[key], col))))
+        min_abs = min(min_abs, float(tab.mins[key].take(col).min()))
         if p < len(prefix):
-            terms = np.take(np.take(v_b, prefix[p], axis=1), rows, axis=1)
-            terms *= np.take(tab.tables[key], col, axis=1)
+            terms = v_b.take(prefix[p], axis=1).take(rows, axis=1)
+            terms *= tab.tables[key].take(col, axis=1)
         else:
-            terms = np.take(v_b, last, axis=1)
-            terms *= np.take(np.take(tab.tables[key], col, axis=1), rows, axis=1)
+            terms = v_b.take(last, axis=1)
+            terms *= tab.tables[key].take(col, axis=1).take(rows, axis=1)
         amp += terms.sum(axis=0)
     return amp.real**2 + amp.imag**2, min_abs
 
@@ -541,7 +541,7 @@ def _rates(
                 with np.errstate(over="ignore", invalid="ignore"):
                     bose = _bose_product(points.factors, prefix, rows, last, signs[k])
                     contrib = amp2 * (bose * line)
-                totals[k][g] += np.sum(contrib, axis=1)
+                totals[k][g] += contrib.sum(axis=1)
         for k, total in enumerate(totals):
             sums[k][SignPattern(signs[k])] = np.cumsum(total, axis=0).ravel().tolist()
     out = []
