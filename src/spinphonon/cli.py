@@ -387,7 +387,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse already printed usage/help; remap its code to our contract
         return 0 if exc.code == 0 else 1
-    except (ModelFileError, ValueError, IndexError) as exc:
+    except (ModelFileError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

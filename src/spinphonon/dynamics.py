@@ -105,13 +105,11 @@ def order_generator_matrices(
     out: dict[int, np.ndarray] = {}
     for order in orders:
         m = None
+        pair: dict = {}
         for a in range(n - 1):
-            # one pruning pass per pair {a, b}: the call for b <- a also
-            # makes a <- b, with b's tables, and leaves it in `pair` for the
-            # next call; a's tables serve all its pairs and b's only one, so
-            # at most two sets are alive
-            pair: dict = {}
-            for b in range(a + 1, n):
+            # b runs up for even a and down for odd a, so consecutive pairs
+            # share a state and each pair after the first builds one table set
+            for b in range(a + 1, n)[::-1 if a % 2 else 1]:
                 for dest, source in ((b, a), (a, b)):
                     rates = rate_at_order(
                         order, dest, source, system, bath, couplings, temperature,

@@ -58,14 +58,12 @@ def _parse_spec_block(block: dict) -> ModelSpec:
         raise ModelParseError(f"unknown model_spec keys: {sorted(unknown)}")
     if "seed" not in block:
         raise ModelParseError("model_spec requires a seed")
-    kwargs = dict(block)
-    if "freq_range" in kwargs:
-        fr = kwargs["freq_range"]
+    if "freq_range" in block:
+        fr = block["freq_range"]
         if not (isinstance(fr, (list, tuple)) and len(fr) == 2):
             raise ModelParseError("freq_range must be a [low, high] pair")
-        kwargs["freq_range"] = (float(fr[0]), float(fr[1]))
     try:
-        return ModelSpec(**kwargs)
+        return ModelSpec(**block)
     except (TypeError, ValueError) as exc:
         raise ModelParseError(f"invalid model_spec: {exc}") from exc
 

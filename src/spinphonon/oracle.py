@@ -97,10 +97,13 @@ class ModelSpec:
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
         lo, hi = self.freq_range
+        reals = (lo, hi, self.gap, self.excited_offset, self.coupling_scale)
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in reals):
+            raise ValueError("freq_range, gap, excited_offset and coupling_scale "
+                             "must be numbers")
         if not 0.0 < lo <= hi < np.inf:
             raise ValueError("freq_range must satisfy 0 < low <= high, both finite")
-        if not all(0.0 <= x < np.inf
-                   for x in (self.gap, self.excited_offset, self.coupling_scale)):
+        if not all(0.0 <= x < np.inf for x in reals[2:]):
             raise ValueError("gap, excited_offset, coupling_scale must be finite and >= 0")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "freq_range", (float(lo), float(hi)))

@@ -59,8 +59,8 @@ channel s of b <- a at exactly negated mismatches, so a generator walks the
 unordered pairs {a, b} and evaluates both directions on every chunk of
 b <- a, each with its own source's tables at the same columns, which are
 computed once per chunk: its call for b <- a makes a <- b too and hands it
-to its call for a <- b. The tables of a serve all its pairs a < b and those
-of b one pair, so two sets are alive at once.
+to its call for a <- b. Before it builds a missing set, a call drops every
+other state's, so at most two sets are alive in any order of pairs.
 """
 
 from __future__ import annotations
@@ -596,12 +596,12 @@ def rate_at_order(
     least 1 and is otherwise ignored: the kernel runs on the calling thread.
 
     ``_pair`` is private to ``order_generator_matrices``, which passes one
-    dict per source a to the calls b <- a and then a <- b of each pair
-    a < b. The call b <- a builds a's tables on its first use and keeps
-    them there; it builds b's tables for itself, evaluates a <- b in its
-    own pruning pass and leaves that result there, under (a, b), for the
-    call a <- b to take. Only calls at the same order, model, lineshape
-    and points may share the dict.
+    dict per order to the calls b <- a and then a <- b of each pair
+    a < b. The call b <- a takes the tables of a and b from the dict, or
+    builds a missing set there after dropping every other entry; it
+    evaluates a <- b in its own pruning pass and leaves that result there,
+    under (a, b), for the call a <- b to take. Only calls at the same
+    order, model, lineshape and points may share the dict.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -612,18 +612,16 @@ def rate_at_order(
     if _pair is not None and (b, a) in _pair:
         return _pair.pop((b, a))
     points = _check_points(temperature, mode_limits, scales, bath, couplings.scale)
-
-    def tables_of(state: int) -> _Tables:
-        d_e = system.energies - system.energies[state]
-        return _source_tables(order, state, d_e, bath.frequencies, couplings.matrices,
-                              shape.eta)
-
-    if _pair is None:
-        sources = [(tables_of(a), b)]
-    else:
-        if a not in _pair:
-            _pair[a] = tables_of(a)
-        sources = [(_pair[a], b), (tables_of(b), a)]
+    tables = {} if _pair is None else _pair
+    states = (a,) if _pair is None else (a, b)
+    for state in states:
+        if state not in tables:
+            for other in [key for key in tables if key not in states]:
+                del tables[other]
+            d_e = system.energies - system.energies[state]
+            tables[state] = _source_tables(order, state, d_e, bath.frequencies,
+                                           couplings.matrices, shape.eta)
+    sources = [(tables[state], dest) for state, dest in zip(states, (b, a))]
     omega_ba = system.transition_frequency(b, a)
     rates = [r[0] if points.single else r
              for r in _rates(order, omega_ba, sources, bath, couplings, shape, points)]

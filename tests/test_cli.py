@@ -367,6 +367,36 @@ class TestInputValidation:
         assert "RuntimeWarning" not in captured.err
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("entry", [
+        {"freq_range": [None, 200.0]}, {"freq_range": [20.0, "x"]},
+        {"freq_range": [True, 200.0]}, {"gap": True},
+    ])
+    def test_model_spec_with_a_non_numeric_value_exits_1(self, tmp_path, capsys,
+                                                         entry):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"units": "cm-1",
+                                    "model_spec": {"seed": 1, "n_modes": 5, **entry}}))
+        assert run_cli(["t1", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "must be numbers" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["t1", "--input", "MODEL"],
+        ["gen-model", "--seed", "1", "--n-modes", "5"],
+    ])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, command):
+        model = gen_model_file(tmp_path)
+        out = tmp_path / "no" / "such" / "dir" / "x"
+        argv = [str(model) if tok == "MODEL" else tok for tok in command]
+        assert run_cli([*argv, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert str(out) in captured.err
+        assert "internal error" not in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     def test_oracle_check_rejects_bad_threads(self, capsys, threads):
         code = run_cli(["oracle-check", "--seed", "3", "--n-modes", "5",

@@ -124,6 +124,16 @@ class TestLoadSystem:
         with pytest.raises(ModelParseError, match="unknown"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("entry", [
+        {"freq_range": [None, 200.0]}, {"freq_range": [20.0, "x"]},
+        {"freq_range": [True, 200.0]}, {"gap": True}, {"excited_offset": "30"},
+        {"coupling_scale": None},
+    ])
+    def test_non_numeric_spec_values_rejected(self, entry):
+        doc = {"units": "cm-1", "model_spec": {"seed": 1, **entry}}
+        with pytest.raises(ModelParseError, match="must be numbers"):
+            model_from_dict(doc)
+
     def test_unsorted_modes_are_canonicalized(self):
         doc = minimal_doc()
         # swap the first two modes and their matrices

@@ -644,12 +644,13 @@ class TestPairTables:
 
     @pytest.mark.parametrize("points", ["one", "temperatures", "mode_limits", "scales"])
     @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
-    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    @pytest.mark.parametrize("n_states", [2, 3, 4, 5])
     def test_generator_walks_pairs_with_two_table_sets_alive(self, monkeypatch,
                                                              n_states, kind, points):
-        """Pair {a, b} builds b's tables beside a's, which serve all of a's
-        pairs: 9 builds per order at n = 4, never more than two sets alive.
-        Every entry and warning is that of a standalone rate call."""
+        """The pairs {a, b} form a chain in which consecutive pairs share a
+        state, so each pair after the first builds one set: 7 builds per
+        order at n = 4, never more than two sets alive. Every entry and
+        warning is that of a standalone rate call."""
         from spinphonon import (NearResonantDenominatorWarning, order_generator_matrices,
                                 rate_at_order, rates)
 
@@ -682,9 +683,10 @@ class TestPairTables:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NearResonantDenominatorWarning)
             matrices = order_generator_matrices(model, temperature, shape, **kwargs)
-        assert builds == [(order, c) for order in (2, 4, 6) for a in range(n_states - 1)
-                          for c in (a, *range(a + 1, n_states))]
-        assert len(builds) == 3 * {2: 2, 3: 5, 4: 9}[n_states]
+        chain = {2: [0, 1], 3: [0, 1, 2, 1], 4: [0, 1, 2, 3, 1, 2, 3],
+                 5: [0, 1, 2, 3, 4, 1, 3, 2, 3, 4, 3]}[n_states]
+        assert builds == [(order, c) for order in (2, 4, 6) for c in chain]
+        assert len(builds) == 3 * (n_states * (n_states - 1) // 2 + 1)
         with warnings.catch_warnings(record=True) as caught_alone:
             warnings.simplefilter("always", NearResonantDenominatorWarning)
             for order, matrix in matrices.items():
@@ -697,3 +699,47 @@ class TestPairTables:
                     assert [m[b, a] for m in per_point] == [r.total for r in alone]
         assert near_resonant(caught) == near_resonant(caught_alone)
         assert sum(near_resonant(caught).values()) > 0
+
+    @pytest.mark.parametrize("walk, n_builds", [("a-major", 8),
+                                                 ("b-major descending", 8)])
+    def test_shared_pair_dict_keeps_two_sets_in_any_pair_order(self, monkeypatch,
+                                                               walk, n_builds):
+        """Calls b <- a then a <- b that share one ``_pair`` dict keep at most
+        two table sets alive whatever order the pairs come in, and every
+        result is that of a standalone call."""
+        from spinphonon import rates
+
+        n = 4
+        model = generate_model(ModelSpec(seed=23, n_states=n, n_modes=10, gap=5.0,
+                                         excited_offset=30.0,
+                                         freq_range=(20.0, 150.0)))
+        shape = Lineshape(kind="gaussian", eta=10.0)
+        pairs = list(itertools.combinations(range(n), 2))
+        if walk != "a-major":
+            pairs.sort(key=lambda pair: (-pair[1], -pair[0]))
+        builds, alive = [], []
+        build = rates._source_tables
+
+        def counting(order, a, *args):
+            assert sum(ref() is not None for ref in alive) <= 1
+            builds.append(a)
+            tab = build(order, a, *args)
+            alive.append(weakref.ref(tab.tables[()]))
+            return tab
+
+        monkeypatch.setattr(rates, "_source_tables", counting)
+        shared = {}
+        for order in (2, 4, 6):
+            pair: dict = {}
+            for lo, hi in pairs:
+                for b, a in ((hi, lo), (lo, hi)):
+                    shared[order, b, a] = rate_at_order(order, b, a, *model, 280.0,
+                                                        shape, _pair=pair)
+            # only two table sets are left; every result was taken
+            assert len(pair) == 2 and pair.keys() <= set(range(n))
+        assert len(builds) == 3 * n_builds
+        monkeypatch.undo()
+        for (order, b, a), got in shared.items():
+            alone = rate_at_order(order, b, a, *model, 280.0, shape)
+            assert got.per_channel == alone.per_channel
+            assert got.total == alone.total
