@@ -5,6 +5,10 @@ N x N matrix whose columns sum to zero, so populations are conserved. T1
 is defined as the inverse of the slowest nonzero decay rate of that
 generator, which for a two-level system reduces exactly to
 1 / (R_ba + R_ab).
+
+Only ``propagate_populations`` needs scipy, for its matrix exponential, and
+imports it when called: importing the package or running any CLI
+subcommand loads no scipy module.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import Lineshape, Model, validate_model
 from .rates import _single_point, rate_at_order
@@ -195,6 +198,8 @@ def propagate_populations(
         raise ValueError("p0 must sum to 1")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and nonnegative")
+    from scipy.linalg import expm
+
     out = expm(generator.matrix * t) @ p
     out[out < 0.0] = 0.0
     return out

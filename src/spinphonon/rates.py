@@ -201,23 +201,6 @@ def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray]:
     return rows, index
 
 
-def _owners(start: np.ndarray, stop: np.ndarray,
-            limits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The prefixes whose last-index range [start, stop) reaches into each
-    group [limits[g - 1], limits[g]), in prefix order: those of group g are
-    owner[bounds[g]:bounds[g + 1]]."""
-    # a prefix with candidates reaches from the group of its first to that of
-    # its last; its (prefix, group) pairs, sorted stably by group, list every
-    # group's prefixes in order
-    some = np.flatnonzero(stop > start)
-    g_first = np.searchsorted(limits, start[some], side="right")
-    g_last = np.searchsorted(limits, stop[some] - 1, side="right")
-    owner, group_of = _expand(g_first, np.minimum(g_last, limits.size - 1) + 1)
-    by_group = np.argsort(group_of, kind="stable")
-    return (some[owner[by_group]],
-            np.searchsorted(group_of[by_group], np.arange(limits.size + 1)))
-
-
 def _chunks(
     omega_ba: float,
     pattern: SignPattern,
@@ -257,9 +240,13 @@ def _chunks(
         mismatch - half, mismatch + half)
     start = np.maximum(np.searchsorted(freqs, lo, side="left"), last + 1)
     stop = np.searchsorted(freqs, hi, side="right")
-    owner, bounds = _owners(start, stop, np.asarray(limits))
+    # a prefix with candidates reaches from the group of its first to that of
+    # its last
+    some = np.flatnonzero(stop > start)
+    g_first = np.searchsorted(limits, start[some], side="right")
+    g_last = np.searchsorted(limits, stop[some] - 1, side="right")
     for group, (low, high) in enumerate(zip([0, *limits[:-1]], limits)):
-        own = owner[bounds[group]:bounds[group + 1]]
+        own = some[(g_first <= group) & (g_last >= group)]
         first, end = np.maximum(start[own], low), np.minimum(stop[own], high)
         live = np.flatnonzero(end > first)
         cuts = np.flatnonzero(np.diff(np.cumsum(end[live] - first[live]) // CHUNK,
@@ -355,20 +342,23 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
         # inner_s' = V[:, c, :] @ T_s', with one column per child set
         width = tables[keys[0][1:]].shape[1]
         flat = [modes[i] * width + col for i, col in enumerate(cols)]
-        shift = {key: sum(s * freqs[ix] for s, ix in zip(key, modes)) for key in keys}
         for key in keys:
             tables[key] = np.empty((n, last.size), dtype=complex)
             mins[key] = np.full(last.size, np.inf)
             for i, col in enumerate(cols):
                 np.minimum(mins[key], mins[key[:i] + key[i + 1:]][col], out=mins[key])
+        total = np.empty(last.size, dtype=complex)
         for c in range(n):
             inner = {k: (v[:, c, :] @ tables[k]).ravel()
                      for k in tables if len(k) == level - 1}
             for key in keys:
-                terms = [inner[key[:i] + key[i + 1:]].take(ix)
-                         for i, ix in enumerate(flat)]
-                real = d_e[c] + shift[key]
-                tables[key][c] = sum(terms[1:], terms[0]) / (real + 1j * eta)
+                # sum the children's terms in order in one buffer and divide
+                # straight into the row: no per-key temporaries at the peak
+                inner[key[1:]].take(flat[0], out=total)
+                for i in range(1, level):
+                    total += inner[key[:i] + key[i + 1:]].take(flat[i])
+                real = d_e[c] + sum(s * freqs[ix] for s, ix in zip(key, modes))
+                np.divide(total, real + 1j * eta, out=tables[key][c])
                 np.minimum(mins[key], np.abs(real), out=mins[key])
             # free this state's blocks before the next state's are formed
             del inner

@@ -218,6 +218,57 @@ def test_warning_under_python_m_names_the_cli_line():
     assert "runpy" not in proc.stderr
 
 
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import numpy as np
+import spinphonon, spinphonon.cli
+from spinphonon.cli import run_cli
+
+model = sys.argv[1]
+common = ["--input", model, "--orders", "2,4,6"]
+argvs = [
+    ["gen-model", "--seed", "3", "--n-states", "3", "--n-modes", "8", "--gap", "5",
+     "--excited-offset", "30", "--output", model],
+    ["t1", *common],
+    ["rates", *common],
+    ["sweep-temp", *common, "--grid", "50:300:3"],
+    ["sweep-cutoff", *common, "--grid", "50:200:3"],
+    ["sweep-lambda", *common, "--grid", "0.5:2:3"],
+    ["crossover", *common],
+    ["oracle-check", "--seed", "3", "--n-modes", "6"],
+]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+
+from scipy.linalg import expm
+from spinphonon import assemble_generator, load_system, propagate_populations
+from spinphonon.core import Lineshape
+
+gen = assemble_generator(load_system(model), 300.0, Lineshape())
+p0 = np.array([0.2, 0.5, 0.3])
+for t in (0.0, 1e-3, 1.0):
+    expected = expm(gen.matrix * t) @ p0
+    expected[expected < 0.0] = 0.0
+    np.testing.assert_array_equal(propagate_populations(gen, p0, t), expected)
+"""
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    """Importing the package and running every subcommand loads no scipy
+    module; propagate_populations imports it when called and still returns
+    exp(t G) @ p0 with negative roundoff clipped."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "m.json")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestGenModel:
     def test_gen_model_round_trips_through_t1(self, tmp_path, capsys):
         model = gen_model_file(tmp_path, seed=23)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -641,6 +642,29 @@ class TestPairTables:
             assert np.all(low <= tab.mins[s_q,][q]) and np.all(low <= tab.mins[s_r,][r])
         entries = sum(x.size for x in tab.tables.values())
         assert entries <= 2 * m * n + 2 * m * m * n
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_order6_build_scratch(self, n_states):
+        """Beyond its result, an order-6 build holds one state's two M x M
+        inner blocks and fewer than eight complex rows of the packed pair
+        table (M(M - 1) / 2 entries), whatever the number of states."""
+        from spinphonon import rates
+
+        m = 120
+        model = generate_model(ModelSpec(seed=3, n_states=n_states, n_modes=m,
+                                         gap=5.0, excited_offset=30.0))
+        d_e = model.system.energies - model.system.energies[1]
+        tracemalloc.start()
+        try:
+            tab = rates._source_tables(6, 1, d_e, model.bath.frequencies,
+                                       model.couplings.matrices, 1.0)
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tab.tables[EMIT, ABSORB].shape == (n_states, m * (m - 1) // 2)
+        complex_bytes = np.dtype(complex).itemsize
+        bound = complex_bytes * (2 * m * m + 8 * m * (m - 1) // 2)
+        assert peak - result < bound, (peak - result, bound)
 
     @pytest.mark.parametrize("points", ["one", "temperatures", "mode_limits", "scales"])
     @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
