@@ -11,6 +11,7 @@ kernels run on one thread; --threads is accepted and validated (at least
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -317,6 +318,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser with every subcommand; run_cli reuses one per process."""
     parser = argparse.ArgumentParser(
         prog="spinphonon",
         description=(
@@ -378,11 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """run_cli's parser, built on first use: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # argparse already printed usage/help; remap its code to our contract

@@ -1,10 +1,10 @@
 """Model file loading/saving and CSV result serialization.
 
 Models travel as a single JSON document: either explicit data (energies,
-modes, couplings as [re, im] pairs) or a ``model_spec`` block that is
-synthesized deterministically on load. Results are written as CSV with a
-header row, 17 significant digits per number, and the literal token
-``inf`` for an infinite T1.
+modes, couplings as [re, im] pairs; written on one line, read in any layout)
+or a ``model_spec`` block that is synthesized deterministically on load.
+Results are written as CSV with a header row, 17 significant digits per
+number, and the literal token ``inf`` for an infinite T1.
 """
 
 from __future__ import annotations
@@ -152,27 +152,20 @@ def load_system(path: str | Path) -> Model:
 
 
 def model_to_dict(model: Model) -> dict:
-    """Explicit-data JSON document for a model (couplings as [re, im])."""
+    """Explicit-data document (couplings as [re, im]) of exact ``tolist`` floats."""
     system, bath, couplings = model
     mats = couplings.matrices
     return {
         "units": _UNITS_TAG,
-        "energies": [float(e) for e in system.energies],
-        "modes": [float(w) for w in bath.frequencies],
-        "couplings": [
-            [
-                [[float(x.real), float(x.imag)] for x in row]
-                for row in mat
-            ]
-            for mat in mats
-        ],
+        "energies": system.energies.tolist(),
+        "modes": bath.frequencies.tolist(),
+        "couplings": np.stack([mats.real, mats.imag], axis=-1).tolist(),
     }
 
 
 def save_system(path: str | Path, model: Model) -> None:
-    """Write the explicit-data JSON form of a model."""
-    doc = model_to_dict(model)
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    """Write a model's explicit-data JSON on one line: no indent, C encoder."""
+    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n")
 
 
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:

@@ -352,9 +352,9 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
             inner = {k: (v[:, c, :] @ tables[k]).ravel()
                      for k in tables if len(k) == level - 1}
             for key in keys:
-                # sum the children's terms in order in one buffer and divide
-                # straight into the row: no per-key temporaries at the peak
-                inner[key[1:]].take(flat[0], out=total)
+                # sum the children's terms in order in one buffer, divide into
+                # the row: no peak temporaries; in range, "clip" skips an out copy
+                inner[key[1:]].take(flat[0], out=total, mode="clip")
                 for i in range(1, level):
                     total += inner[key[:i] + key[i + 1:]].take(flat[i])
                 real = d_e[c] + sum(s * freqs[ix] for s, ix in zip(key, modes))

@@ -269,6 +269,49 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    """run_cli builds at most one parser per process, and each call's exit
+    code, printed text and output file equal a fresh process's."""
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr("spinphonon.cli.build_parser", counting_build_parser)
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [
+        # a usage error and help print text; the others write a file
+        (["t1", "--input", "m.json", "--orders", "3"], 1, None),
+        (["--help"], 0, None),
+        (["gen-model", "--seed", "5", "--n-modes", "12", "--output", "m.json"], 0,
+         "m.json"),
+        (["t1", "--input", "m.json", "--orders", "2,4", "--output", "t1.txt"], 0,
+         "t1.txt"),
+        (["sweep-temp", "--input", "m.json", "--orders", "2,4", "--grid", "50:300:3",
+          "--output", "sweep.csv"], 0, "sweep.csv"),
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    for argv, expected, output in runs:
+        code = run_cli(argv)
+        printed = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "spinphonon.cli", *argv],
+                              cwd=fresh, env=env, capture_output=True, text=True)
+        assert code == proc.returncode == expected
+        if output is None:
+            assert printed.out or printed.err
+            assert (printed.out, printed.err) == (proc.stdout, proc.stderr)
+        else:
+            assert (here / output).read_bytes() == (fresh / output).read_bytes()
+    assert len(built) <= 1
+
+
 class TestGenModel:
     def test_gen_model_round_trips_through_t1(self, tmp_path, capsys):
         model = gen_model_file(tmp_path, seed=23)

@@ -30,23 +30,51 @@ def minimal_doc():
     }
 
 
+def _bits(model):
+    """Every energy, frequency and coupling of a model as raw bytes."""
+    return [np.ascontiguousarray(x).tobytes() for x in (
+        model.system.energies, model.bath.frequencies, model.couplings.matrices)]
+
+
+def _indented_doc(model):
+    """Reference form of a model file: per-element floats, indented."""
+    return json.dumps({
+        "units": "cm-1",
+        "energies": [float(e) for e in model.system.energies],
+        "modes": [float(w) for w in model.bath.frequencies],
+        "couplings": [[[[float(x.real), float(x.imag)] for x in row] for row in mat]
+                      for mat in model.couplings.matrices],
+    }, indent=1)
+
+
+# the bench's kernel-t1 and multilevel-t1 gen-model recipes at seed 1000
+_BENCH_RECIPE = dict(seed=1000, n_modes=300, freq_range=(20.0, 560.0),
+                     coupling_scale=0.3)
+
+
 class TestLoadSystem:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(minimal_doc()))
-        model = load_system(path)
-        assert model.system.n_states == 2
-        assert model.bath.n_modes == 3
-        out = tmp_path / "copy.json"
-        save_system(out, model)
-        again = load_system(out)
-        assert np.array_equal(again.system.energies, model.system.energies)
-        assert np.array_equal(again.bath.frequencies, model.bath.frequencies)
-        assert np.array_equal(again.couplings.matrices, model.couplings.matrices)
-        # a second save is byte-identical
-        out2 = tmp_path / "copy2.json"
-        save_system(out2, again)
-        assert out.read_text() == out2.read_text()
+        cases = [(load_system(path), 2, 3)] + [
+            (generate_model(ModelSpec(n_states=n, **_BENCH_RECIPE)), n, 300)
+            for n in (2, 4)]
+        for i, (model, n_states, n_modes) in enumerate(cases):
+            assert model.system.n_states == n_states
+            assert model.bath.n_modes == n_modes
+            out = tmp_path / f"copy{i}.json"
+            save_system(out, model)
+            again = load_system(out)
+            # every value reloads bitwise, sign bits included
+            assert _bits(again) == _bits(model)
+            # a second save is byte-identical
+            out2 = tmp_path / f"copy{i}-again.json"
+            save_system(out2, again)
+            assert out.read_bytes() == out2.read_bytes()
+            # the same document as an indented file, on one line
+            text = out.read_text()
+            assert json.loads(text) == json.loads(_indented_doc(model))
+            assert text.endswith("\n") and text.count("\n") == 1
 
     def test_negative_frequency_rejected(self):
         doc = minimal_doc()
