@@ -6,6 +6,11 @@ gen-model, oracle-check. Exit codes: 0 success, 1 validation/usage error
 arguments and input files produce identical output files. The rate
 kernels run on one thread; --threads is accepted and validated (at least
 1) but does not change what runs.
+
+``run_cli`` is the one runner: it gets the model (from ``--input``, or
+generated from the seed flags), builds the lineshape, writes the command's
+text to stdout or ``--output`` and returns the exit code. Each command is a
+function from (args, model, lineshape) to its text.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Lineshape, Model, sign_patterns
+from .core import Lineshape, Model
 from .dynamics import assemble_generator, extract_t1
 from .io import (
     ModelFileError,
@@ -83,24 +88,19 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
-def _parse_transition(text: str) -> tuple[int, int]:
+def _parse_pair(text: str, sep: str, kind: type, form: str) -> tuple:
+    """Two ``kind`` values joined by ``sep``; ``form`` names the shape in the error."""
     try:
-        b, a = (int(tok) for tok in text.split(","))
+        first, second = (kind(tok) for tok in text.split(sep))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"transition must look like b,a - got {text!r}"
-        ) from None
-    return b, a
+        raise argparse.ArgumentTypeError(f"{form} - got {text!r}") from None
+    return first, second
 
 
-def _parse_bracket(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(tok) for tok in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bracket must look like low:high - got {text!r}"
-        ) from None
-    return lo, hi
+_parse_transition = functools.partial(
+    _parse_pair, sep=",", kind=int, form="transition must look like b,a")
+_parse_bracket = functools.partial(
+    _parse_pair, sep=":", kind=float, form="bracket must look like low:high")
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -128,29 +128,6 @@ def _add_common_args(p: argparse.ArgumentParser, orders_default: str = "2,4,6") 
     _add_run_args(p)
 
 
-def _add_channel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--channels", action="store_true",
-                   help="append per-channel rate columns at --transition")
-    p.add_argument("--transition", type=_parse_transition, default=(1, 0))
-
-
-def _shape_from_args(args: argparse.Namespace) -> Lineshape:
-    return Lineshape(kind=args.lineshape, sigma=args.sigma, eta=args.eta,
-                     window=args.window)
-
-
-def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
-    return ModelSpec(
-        seed=args.seed,
-        n_states=args.n_states,
-        n_modes=args.n_modes,
-        gap=args.gap,
-        freq_range=(args.freq_min, args.freq_max),
-        coupling_scale=args.coupling_scale,
-        excited_offset=args.excited_offset,
-    )
-
-
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True, help="model seed")
     p.add_argument("--n-states", type=int, default=2)
@@ -164,136 +141,69 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--excited-offset", type=float, default=1000.0)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _channel_columns(model: Model, transition, orders, temperature, shape,
-                     scales=None):
-    """Per-channel rate columns (s^-1) at a fixed transition, one row per point.
-
-    The points are the temperatures, or the coupling scales at one
-    temperature; each order takes one multi-point rate call.
-    """
-    b, a = transition
-    header = [
-        f"r{order}[{pattern.label}]_s^-1"
-        for order in orders
-        for pattern in sign_patterns(order // 2)
-    ]
-    per_order = [
-        rate_at_order(order, b, a, *model, temperature, shape, scales=scales)
-        for order in orders
-    ]
-    rows = [
-        [value for bd in point for value in bd.per_channel.values()]
-        for point in zip(*per_order)
-    ]
-    return header, rows
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps (args, model, lineshape) to the text it writes
 
 
-def _cmd_rates(args: argparse.Namespace) -> int:
-    model = load_system(args.input)
-    shape = _shape_from_args(args)
+def _cmd_rates(args: argparse.Namespace, model: Model, shape: Lineshape) -> str:
     b, a = args.transition
-    system, bath, couplings = model
     out = []
     for order in args.orders:
-        bd = rate_at_order(order, b, a, system, bath, couplings, args.temp, shape)
+        bd = rate_at_order(order, b, a, *model, args.temp, shape)
         out.append(f"order {order} transition {b}<-{a}:")
         for pattern, value in bd.per_channel.items():
             out.append(f"  {pattern.label:>3} : {format_number(value)} s^-1")
         out.append(f"  total : {format_number(bd.total)} s^-1")
-    _emit("\n".join(out) + "\n", args.output)
-    return 0
+    return "\n".join(out) + "\n"
 
 
-def _cmd_t1(args: argparse.Namespace) -> int:
-    model = load_system(args.input)
-    shape = _shape_from_args(args)
+def _cmd_t1(args: argparse.Namespace, model: Model, shape: Lineshape) -> str:
     gen = assemble_generator(model, args.temp, shape, args.orders)
-    _emit(format_number(extract_t1(gen)) + "\n", args.output)
-    return 0
+    return format_number(extract_t1(gen)) + "\n"
 
 
-def _sweep_csv(axis_name, series, channel_extra=None) -> str:
+def _cmd_sweep(args: argparse.Namespace, model: Model, shape: Lineshape) -> str:
+    """T1 per order along --grid as CSV. With --channels, each order's
+    per-channel rates (s^-1) at --transition follow, from one multi-point
+    rate call over the temperatures, or over the scales at one temperature."""
+    temperature, scales = args.temp, None
+    if args.command == "sweep-temp":
+        axis, temperature = "temperature_K", args.grid
+        series = sweep_temperature(model, args.grid, args.orders, shape)
+    elif args.command == "sweep-cutoff":
+        axis = "cutoff_cm-1"
+        series = sweep_cutoff(model, args.grid, args.orders, args.temp, shape)
+    else:
+        axis, scales = "lambda", args.grid
+        series = sweep_lambda(model, args.grid, args.orders, args.temp, shape)
     orders = sorted(series.t1_per_order)
-    header = [axis_name] + [f"t1_order{k}_s" for k in orders]
+    header = [axis] + [f"t1_order{k}_s" for k in orders]
     rows = [
         [series.axis[i]] + [series.t1_per_order[k][i] for k in orders]
         for i in range(len(series.axis))
     ]
-    if channel_extra is not None:
-        ch_header, ch_rows = channel_extra
-        header += ch_header
-        rows = [row + ch_row for row, ch_row in zip(rows, ch_rows)]
+    if getattr(args, "channels", False):
+        b, a = args.transition
+        for order in args.orders:
+            points = rate_at_order(order, b, a, *model, temperature, shape, scales=scales)
+            header += [f"r{order}[{pattern.label}]_s^-1"
+                       for pattern in points[0].per_channel]
+            rows = [row + list(bd.per_channel.values()) for row, bd in zip(rows, points)]
     return render_csv(header, rows)
 
 
-def _cmd_sweep_temp(args: argparse.Namespace) -> int:
-    model = load_system(args.input)
-    shape = _shape_from_args(args)
-    series = sweep_temperature(model, args.grid, args.orders, shape)
-    extra = None
-    if args.channels:
-        extra = _channel_columns(model, args.transition, args.orders, args.grid,
-                                 shape)
-    _emit(_sweep_csv("temperature_K", series, extra), args.output)
-    return 0
-
-
-def _cmd_sweep_cutoff(args: argparse.Namespace) -> int:
-    model = load_system(args.input)
-    shape = _shape_from_args(args)
-    series = sweep_cutoff(model, args.grid, args.orders, args.temp, shape)
-    _emit(_sweep_csv("cutoff_cm-1", series), args.output)
-    return 0
-
-
-def _cmd_sweep_lambda(args: argparse.Namespace) -> int:
-    model = load_system(args.input)
-    shape = _shape_from_args(args)
-    series = sweep_lambda(model, args.grid, args.orders, args.temp, shape)
-    extra = None
-    if args.channels:
-        extra = _channel_columns(model, args.transition, args.orders, args.temp,
-                                 shape, scales=args.grid)
-    _emit(_sweep_csv("lambda", series, extra), args.output)
-    return 0
-
-
-def _cmd_crossover(args: argparse.Namespace) -> int:
-    model = load_system(args.input)
-    shape = _shape_from_args(args)
+def _cmd_crossover(args: argparse.Namespace, model: Model, shape: Lineshape) -> str:
     lam = find_crossover(model, args.temp, shape, bracket=args.bracket)
     if lam is None:
-        _emit(
-            f"no crossover in bracket [{args.bracket[0]:g}, {args.bracket[1]:g}]\n",
-            args.output,
-        )
-    else:
-        _emit(format_number(lam) + "\n", args.output)
-    return 0
+        return f"no crossover in bracket [{args.bracket[0]:g}, {args.bracket[1]:g}]\n"
+    return format_number(lam) + "\n"
 
 
-def _cmd_gen_model(args: argparse.Namespace) -> int:
-    model = generate_model(_model_spec_from_args(args))
-    save_system(args.output, model)
-    return 0
-
-
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    model = generate_model(_model_spec_from_args(args))
-    shape = _shape_from_args(args)
-    system, bath, couplings = model
-    n = system.n_states
+def _oracle_report(args: argparse.Namespace, model: Model,
+                   shape: Lineshape) -> tuple[str, int]:
+    """Per-channel deviations of the fast rates from the naive oracle on
+    every ordered transition, and exit code 1 if any exceeds _ORACLE_TOL."""
+    n = model.system.n_states
     worst = 0.0
     lines = []
     for b, a in ((b, a) for a in range(n) for b in range(n) if b != a):
@@ -301,9 +211,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             (4, naive_rate_two_phonon),
             (6, naive_rate_three_phonon),
         ):
-            fast = rate_at_order(order, b, a, system, bath, couplings, args.temp,
-                                 shape)
-            naive = naive_fn(b, a, system, bath, couplings, args.temp, shape)
+            fast = rate_at_order(order, b, a, *model, args.temp, shape)
+            naive = naive_fn(b, a, *model, args.temp, shape)
             for pattern in fast.per_channel:
                 dev = relative_deviation(fast.per_channel[pattern],
                                          naive.per_channel[pattern])
@@ -313,8 +222,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
                     f"relative deviation {dev:.3e}"
                 )
     lines.append(f"max relative deviation: {worst:.3e}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0 if worst <= _ORACLE_TOL else 1
+    return "\n".join(lines) + "\n", 0 if worst <= _ORACLE_TOL else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,25 +247,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     p.set_defaults(func=_cmd_t1)
 
-    p = sub.add_parser("sweep-temp", help="T1 versus temperature (CSV)")
-    _add_common_args(p)
-    p.add_argument("--grid", type=_parse_grid, required=True,
-                   help="temperature grid start:stop:npoints[:log], in K")
-    _add_channel_args(p)
-    p.set_defaults(func=_cmd_sweep_temp)
-
-    p = sub.add_parser("sweep-cutoff", help="T1 versus phonon energy cutoff (CSV)")
-    _add_common_args(p, orders_default="6")
-    p.add_argument("--grid", type=_parse_grid, required=True,
-                   help="cutoff grid start:stop:npoints[:log], in cm^-1")
-    p.set_defaults(func=_cmd_sweep_cutoff)
-
-    p = sub.add_parser("sweep-lambda", help="T1 versus coupling multiplier (CSV)")
-    _add_common_args(p, orders_default="4,6")
-    p.add_argument("--grid", type=_parse_grid, required=True,
-                   help="lambda grid start:stop:npoints[:log]")
-    _add_channel_args(p)
-    p.set_defaults(func=_cmd_sweep_lambda)
+    for name, axis, orders, grid in (
+        ("sweep-temp", "temperature", "2,4,6",
+         "temperature grid start:stop:npoints[:log], in K"),
+        ("sweep-cutoff", "phonon energy cutoff", "6",
+         "cutoff grid start:stop:npoints[:log], in cm^-1"),
+        ("sweep-lambda", "coupling multiplier", "4,6",
+         "lambda grid start:stop:npoints[:log]"),
+    ):
+        p = sub.add_parser(name, help=f"T1 versus {axis} (CSV)")
+        _add_common_args(p, orders_default=orders)
+        p.add_argument("--grid", type=_parse_grid, required=True, help=grid)
+        if name != "sweep-cutoff":
+            p.add_argument("--channels", action="store_true",
+                           help="append per-channel rate columns at --transition")
+            p.add_argument("--transition", type=_parse_transition, default=(1, 0))
+        p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("crossover",
                        help="coupling scale where three-phonon overtakes two-phonon")
@@ -369,13 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-model", help="write a synthetic model JSON file")
     _add_spec_args(p)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_gen_model)
 
     p = sub.add_parser("oracle-check",
                        help="compare optimized rates against the naive reference")
     _add_spec_args(p)
     _add_run_args(p)
-    p.set_defaults(func=_cmd_oracle_check)
 
     return parser
 
@@ -387,10 +290,36 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    """Parse and execute; returns the process exit code."""
+    """Parse, get the model, run the command and write its text; returns the
+    process exit code."""
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        if args.command in ("gen-model", "oracle-check"):
+            model = generate_model(ModelSpec(
+                seed=args.seed,
+                n_states=args.n_states,
+                n_modes=args.n_modes,
+                gap=args.gap,
+                freq_range=(args.freq_min, args.freq_max),
+                coupling_scale=args.coupling_scale,
+                excited_offset=args.excited_offset,
+            ))
+            if args.command == "gen-model":
+                save_system(args.output, model)
+                return 0
+        else:
+            model = load_system(args.input)
+        shape = Lineshape(kind=args.lineshape, sigma=args.sigma, eta=args.eta,
+                          window=args.window)
+        if args.command == "oracle-check":
+            text, code = _oracle_report(args, model, shape)
+        else:
+            text, code = args.func(args, model, shape), 0
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except SystemExit as exc:
         # argparse already printed usage/help; remap its code to our contract
         return 0 if exc.code == 0 else 1

@@ -123,7 +123,8 @@ def model_from_dict(doc: dict) -> Model:
     if bad.size:
         raise ModelParseError(f"coupling matrix for mode index {bad[0]} is not finite")
     try:
-        matrices = CouplingSet(coup[..., 0] + 1j * coup[..., 1]).matrices
+        # a complex view keeps every bit, the sign of a -0.0 part included
+        matrices = CouplingSet(coup.view(complex)[..., 0]).matrices
     except ValueError as exc:
         raise NonHermitianCouplingError(str(exc)) from exc
 

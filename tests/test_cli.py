@@ -199,6 +199,44 @@ class TestOracleCheck:
         worst = float(out.strip().splitlines()[-1].split(":")[1])
         assert worst <= 1e-10
 
+    def test_failing_check_exits_1_and_writes_the_whole_report(self, tmp_path,
+                                                               monkeypatch, capsys):
+        monkeypatch.setattr("spinphonon.cli._ORACLE_TOL", -1.0)
+        argv = ["oracle-check", "--seed", "7", "--n-modes", "8"]
+        assert run_cli(argv) == 1
+        printed = capsys.readouterr().out
+        lines = printed.splitlines()
+        # 2 transitions x (4 order-4 + 8 order-6 channels), then the maximum
+        assert len(lines) == 25
+        assert all(line.startswith("order ") for line in lines[:-1])
+        assert lines[-1].startswith("max relative deviation:")
+        out = tmp_path / "report.txt"
+        assert run_cli([*argv, "--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("command", [
+    ["rates", "--input", "MODEL", "--orders", "2,4"],
+    ["t1", "--input", "MODEL"],
+    ["sweep-temp", "--input", "MODEL", "--grid", "50:300:3", "--channels"],
+    ["sweep-cutoff", "--input", "MODEL", "--grid", "20:150:3"],
+    ["sweep-lambda", "--input", "MODEL", "--grid", "0.5:2:3", "--channels"],
+    ["crossover", "--input", "MODEL"],
+    ["crossover", "--input", "MODEL", "--bracket", "1e-6:1e-5"],
+    ["oracle-check", "--seed", "7", "--n-modes", "6"],
+])
+def test_stdout_and_output_file_get_the_same_bytes(tmp_path, capsys, command):
+    argv = [str(gen_model_file(tmp_path)) if tok == "MODEL" else tok for tok in command]
+    assert run_cli(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert run_cli([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out.read_bytes() == printed.encode()
+    if "--bracket" in command:
+        assert printed == "no crossover in bracket [1e-06, 1e-05]\n"
+
 
 def test_warning_under_python_m_names_the_cli_line():
     """Under ``python -m spinphonon.cli`` the first frame outside the

@@ -56,9 +56,20 @@ class TestLoadSystem:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(minimal_doc()))
-        cases = [(load_system(path), 2, 3)] + [
+        # -0.0 real parts, one beside a positive imaginary part
+        signed = minimal_doc()
+        signed["couplings"][0][0][1] = [-0.0, 0.5]
+        signed["couplings"][0][1][0] = [-0.0, -0.5]
+        signed_path = tmp_path / "signed.json"
+        signed_path.write_text(json.dumps(signed))
+        cases = [(load_system(path), 2, 3), (load_system(signed_path), 2, 3)] + [
             (generate_model(ModelSpec(n_states=n, **_BENCH_RECIPE)), n, 300)
             for n in (2, 4)]
+        # the document's sign bits survive the load
+        mats = cases[1][0].couplings.matrices
+        np.testing.assert_array_equal(
+            np.signbit(np.stack([mats.real, mats.imag], axis=-1)),
+            np.signbit(np.array(signed["couplings"])))
         for i, (model, n_states, n_modes) in enumerate(cases):
             assert model.system.n_states == n_states
             assert model.bath.n_modes == n_modes
