@@ -193,6 +193,8 @@ def _cmd_sweep(args: argparse.Namespace, model: Model, shape: Lineshape) -> str:
 
 
 def _cmd_crossover(args: argparse.Namespace, model: Model, shape: Lineshape) -> str:
+    if not {4, 6} <= set(args.orders):
+        raise ValueError("crossover compares orders 4 and 6: --orders must include both")
     lam = find_crossover(model, args.temp, shape, bracket=args.bracket)
     if lam is None:
         return f"no crossover in bracket [{args.bracket[0]:g}, {args.bracket[1]:g}]\n"

@@ -1,10 +1,12 @@
 """Markovian population dynamics: generator assembly, T1, propagation.
 
 The population generator collects the per-order transition rates into an
-N x N matrix whose columns sum to zero, so populations are conserved. T1
-is defined as the inverse of the slowest nonzero decay rate of that
-generator, which for a two-level system reduces exactly to
-1 / (R_ba + R_ab).
+N x N matrix whose columns sum to zero, so populations are conserved. Of
+each pair it evaluates only the downward rate R_down and sets the upward
+one to R_down exp(-dE / k_B T), dE >= 0 the gap (detailed balance), so the
+Boltzmann populations are stationary by construction. T1 is the inverse of
+the slowest nonzero decay rate, for two levels
+1 / (R_down (1 + exp(-dE / k_B T))) to rounding.
 
 Only ``propagate_populations`` needs scipy, for its matrix exponential, and
 imports it when called: importing the package or running any CLI
@@ -98,7 +100,9 @@ def order_generator_matrices(
     At one point each matrix is N x N. Points given as in ``rate_at_order``
     (a temperature list, ``mode_limits`` or ``scales``) stack the matrices
     along a leading axis, one per point, from one multi-point pass per
-    transition pair and order.
+    state pair and order. Entry (b, a) for b < a is the downward rate,
+    ``rate_at_order``'s bit for bit; entry (a, b) is it times
+    exp(-(E_a - E_b) / k_B T). Each source a > 0 builds one table set.
     """
     validate_model(model)
     orders = _check_orders(orders)
@@ -109,19 +113,17 @@ def order_generator_matrices(
     for order in orders:
         m = None
         pair: dict = {}
-        for a in range(n - 1):
-            # b runs up for even a and down for odd a, so consecutive pairs
-            # share a state and each pair after the first builds one table set
-            for b in range(a + 1, n)[::-1 if a % 2 else 1]:
-                for dest, source in ((b, a), (a, b)):
+        for source in range(1, n):
+            for dest in range(source):
+                for b, a in ((dest, source), (source, dest)):
                     rates = rate_at_order(
-                        order, dest, source, system, bath, couplings, temperature,
+                        order, b, a, system, bath, couplings, temperature,
                         shape, mode_limits=mode_limits, scales=scales, _pair=pair,
                     )
                     rates = [rates] if single else rates
                     if m is None:
                         m = np.zeros((len(rates), n, n))
-                    m[:, dest, source] = [r.total for r in rates]
+                    m[:, b, a] = [r.total for r in rates]
         for a in range(n):
             m[:, a, a] = -m[:, :, a].sum(axis=1)
         out[order] = m[0] if single else m

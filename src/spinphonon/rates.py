@@ -54,13 +54,10 @@ tuples. Each tuple's products and sums take the same operands in the same
 order as when gathered tuple by tuple, so its value does not depend on the
 runs.
 
-The tables do not depend on b, and channel -s of a <- b keeps the tuples of
-channel s of b <- a at exactly negated mismatches, so a generator walks the
-unordered pairs {a, b} and evaluates both directions on every chunk of
-b <- a, each with its own source's tables at the same columns, which are
-computed once per chunk: its call for b <- a makes a <- b too and hands it
-to its call for a <- b. Before it builds a missing set, a call drops every
-other state's, so at most two sets are alive in any order of pairs.
+The tables do not depend on b, so every transition out of a reads one set.
+A generator evaluates only the downward rate of each pair and sets the
+upward one by detailed balance (``rate_at_order``'s ``_pair``); without
+``_pair`` every rate is the raw golden-rule rate of its own direction.
 """
 
 from __future__ import annotations
@@ -378,13 +375,13 @@ def _columns(tri_row: np.ndarray, prefix: tuple[np.ndarray, ...], rows: np.ndarr
 
 
 def _amp2(prefix: tuple[np.ndarray, ...], rows: np.ndarray, last: np.ndarray,
-          cols: list[np.ndarray], signs: tuple[int, ...], tab: _Tables,
+          signs: tuple[int, ...], tab: _Tables,
           v_b: np.ndarray) -> tuple[np.ndarray, float]:
     """|A|^2 of a chunk's tuples, and the smallest |real denominator| of
     their table entries.
 
     Each first mode q takes V[q, b, :] of the destination b, the column
-    v_b[:, q], dotted with the table entry of the other modes (at cols[p]),
+    v_b[:, q], dotted with the table entry of the other modes (``_columns``),
     which sums their orderings and carries their minima. A prefix mode's
     couplings, and the last position's entries and minima, are gathered once
     per prefix and expanded by ``rows``; every prefix has a tuple, so its
@@ -392,7 +389,7 @@ def _amp2(prefix: tuple[np.ndarray, ...], rows: np.ndarray, last: np.ndarray,
     """
     amp = np.zeros(rows.size, dtype=complex)
     min_abs = np.inf
-    for p, col in enumerate(cols):
+    for p, col in enumerate(_columns(tab.tri_row, prefix, rows, last)):
         key = signs[:p] + signs[p + 1:]
         min_abs = min(min_abs, float(tab.mins[key].take(col).min()))
         if p < len(prefix):
@@ -484,68 +481,53 @@ def _check_points(
     return _Points({EMIT: occ + 1.0, ABSORB: occ}, limits, scales.tolist(), single)
 
 
+def _boltzmann(gap: float, temperature: float) -> float:
+    """exp(-gap / k_B T), an upward rate over its downward one, in Python
+    floats; exact 0 beyond _EXP_ARG_MAX, as in ``_occupations``."""
+    x = gap / (BOLTZMANN_CM_PER_K * temperature)
+    return math.exp(-x) if x <= _EXP_ARG_MAX else 0.0
+
+
 def _rates(
     order: int,
     omega_ba: float,
-    sources: Sequence[tuple[_Tables, int]],
+    tables: _Tables,
+    v_b: np.ndarray,
     bath: PhononBath,
-    couplings: CouplingSet,
     shape: Lineshape,
     points: _Points,
-) -> list[list[RateBreakdown]]:
-    """The rates of b <- a, and of a <- b too, at every point, from one
-    pruning pass over the channels of b <- a: one list of breakdowns per
-    source.
-
-    A source is (tables, destination): first the tables of a with
-    destination b, whose channels take the signs s; then, optionally, the
-    tables of b with destination a, whose channels take the signs -s.
-    Channel -s of a <- b keeps the tuples of channel s of b <- a, in the
-    same chunks, at exactly negated mismatches, and both lineshapes are
-    even, so each chunk's weights serve both directions. Each direction
-    takes its own amplitudes and Bose factors, sums its chunks in chunk
-    order and warns on its own smallest |denominator|, so its rates and
-    warning are those of a call of its own. A chunk's contribution
-    |A|^2 * (Bose product * lineshape) is formed as one temperatures x tuples
-    block and summed per row into the chunk's mode-limit group; a limit's
-    point is the running sum of the groups up to its own.
+) -> list[RateBreakdown]:
+    """The rates of b <- a at every point, from the tables of a and the
+    destination's couplings v_b[c, q] = V[q, b, c], one pruning pass per
+    channel. A chunk's contribution |A|^2 * (Bose product * lineshape) is
+    formed as one temperatures x tuples block and summed per row into the
+    chunk's mode-limit group; a limit's point is the running sum of the
+    groups up to its own.
     """
-    v = couplings.matrices
-    # each source's tables beside its destination's couplings, [c, q] = V[q, b, c]
-    tabs = [(tables, np.ascontiguousarray(v[:, dest, :].T)) for tables, dest in sources]
-    # both sources index their tables alike, so a chunk's columns serve both
-    tri_row = sources[0][0].tri_row
-    sums: list[dict[SignPattern, list[float]]] = [{} for _ in tabs]
-    min_abs = [np.inf] * len(tabs)
+    sums: dict[SignPattern, list[float]] = {}
+    min_abs = np.inf
     for pattern in sign_patterns(order // 2):
-        signs = [pattern.signs, tuple(-s for s in pattern.signs)]
-        totals = [np.zeros((len(points.limits), len(points.factors[EMIT]))) for _ in tabs]
+        signs = pattern.signs
+        total = np.zeros((len(points.limits), len(points.factors[EMIT])))
         for g, prefix, rows, last, mismatch in _chunks(omega_ba, pattern, bath, shape,
                                                        points.limits):
-            line = _weights(mismatch, shape)
-            cols = _columns(tri_row, prefix, rows, last)
-            for k, (tables, v_b) in enumerate(tabs):
-                amp2, low = _amp2(prefix, rows, last, cols, signs[k], tables, v_b)
-                min_abs[k] = min(min_abs[k], low)
-                # an overflowing Bose factor leaves a non-finite rate for _breakdown
-                with np.errstate(over="ignore", invalid="ignore"):
-                    bose = _bose_product(points.factors, prefix, rows, last, signs[k])
-                    contrib = amp2 * (bose * line)
-                totals[k][g] += contrib.sum(axis=1)
-        for k, total in enumerate(totals):
-            sums[k][SignPattern(signs[k])] = np.cumsum(total, axis=0).ravel().tolist()
-    out = []
-    for channel_sums, low in zip(sums, min_abs):
-        if low < shape.eta / 10.0:
-            warnings.warn(
-                f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of "
-                f"zero (|x| = {low:.3e} cm^-1)",
-                NearResonantDenominatorWarning,
-                stacklevel=_caller_stacklevel(),
-            )
-        out.append([_breakdown(order, dict(zip(channel_sums, point)), lam)
-                    for point in zip(*channel_sums.values()) for lam in points.scales])
-    return out
+            amp2, low = _amp2(prefix, rows, last, signs, tables, v_b)
+            min_abs = min(min_abs, low)
+            # an overflowing Bose factor leaves a non-finite rate for _breakdown
+            with np.errstate(over="ignore", invalid="ignore"):
+                bose = _bose_product(points.factors, prefix, rows, last, signs)
+                contrib = amp2 * (bose * _weights(mismatch, shape))
+            total[g] += contrib.sum(axis=1)
+        sums[pattern] = np.cumsum(total, axis=0).ravel().tolist()
+    if min_abs < shape.eta / 10.0:
+        warnings.warn(
+            f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of "
+            f"zero (|x| = {min_abs:.3e} cm^-1)",
+            NearResonantDenominatorWarning,
+            stacklevel=_caller_stacklevel(),
+        )
+    return [_breakdown(order, dict(zip(sums, point)), lam)
+            for point in zip(*sums.values()) for lam in points.scales]
 
 
 def rate_at_order(
@@ -586,12 +568,14 @@ def rate_at_order(
     least 1 and is otherwise ignored: the kernel runs on the calling thread.
 
     ``_pair`` is private to ``order_generator_matrices``, which passes one
-    dict per order to the calls b <- a and then a <- b of each pair
-    a < b. The call b <- a takes the tables of a and b from the dict, or
-    builds a missing set there after dropping every other entry; it
-    evaluates a <- b in its own pruning pass and leaves that result there,
-    under (a, b), for the call a <- b to take. Only calls at the same
-    order, model, lineshape and points may share the dict.
+    dict per order to the calls b <- a and a <- b of every pair. Whichever
+    comes first evaluates the downward rate, into the lower index (energies
+    are sorted; ties go there too), and returns it or its upward image:
+    each channel and the total times ``_boltzmann`` of the pair's gap at
+    the point's temperature. It leaves the other under (a, b) for the other
+    call. The source's tables stay for its next downward destination; any
+    other set is dropped before one is built, so at most one is alive.
+    Only calls at the same order, model, lineshape and points may share it.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -602,22 +586,30 @@ def rate_at_order(
     if _pair is not None and (b, a) in _pair:
         return _pair.pop((b, a))
     points = _check_points(temperature, mode_limits, scales, bath, couplings.scale)
-    tables = {} if _pair is None else _pair
-    states = (a,) if _pair is None else (a, b)
-    for state in states:
-        if state not in tables:
-            for other in [key for key in tables if key not in states]:
-                del tables[other]
-            d_e = system.energies - system.energies[state]
-            tables[state] = _source_tables(order, state, d_e, bath.frequencies,
-                                           couplings.matrices, shape.eta)
-    sources = [(tables[state], dest) for state, dest in zip(states, (b, a))]
-    omega_ba = system.transition_frequency(b, a)
-    rates = [r[0] if points.single else r
-             for r in _rates(order, omega_ba, sources, bath, couplings, shape, points)]
+    # with _pair, the downward rate: energies are sorted
+    up = _pair is not None and b > a
+    dest, source = (a, b) if up else (b, a)
+    held = {} if _pair is None else _pair
+    if source not in held:
+        # results are keyed by pairs, table sets by their state
+        for state in [key for key in held if not isinstance(key, tuple)]:
+            del held[state]
+        d_e = system.energies - system.energies[source]
+        held[source] = _source_tables(order, source, d_e, bath.frequencies,
+                                      couplings.matrices, shape.eta)
+    # [c, q] = V[q, dest, c]
+    v_b = np.ascontiguousarray(couplings.matrices[:, dest, :].T)
+    rates = _rates(order, system.transition_frequency(dest, source), held[source],
+                   v_b, bath, shape, points)
     if _pair is not None:
-        _pair[a, b] = rates[1]
-    return rates[0]
+        gap = system.transition_frequency(source, dest)
+        factors = [_boltzmann(gap, float(t)) for t in np.atleast_1d(temperature)]
+        image = [RateBreakdown(r.order, {p: v * f for p, v in r.per_channel.items()},
+                               r.total * f)
+                 for r, f in zip(rates, itertools.cycle(factors))]
+        rates, image = (image, rates) if up else (rates, image)
+        _pair[a, b] = image[0] if points.single else image
+    return rates[0] if points.single else rates
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Each sweep returns one T1 series per requested perturbative order, with
 ``math.inf`` marking points where nothing relaxes. A sweep makes one
-multi-point pass per transition pair and order, so every surviving
-tuple's amplitude is evaluated once per direction and reduced against all
-the sweep's points. Order-2k rates carry the global coupling multiplier as
+multi-point pass per state pair and order, downward only, so every
+surviving tuple's amplitude is evaluated once and reduced against all the
+sweep's points. Order-2k rates carry the global coupling multiplier as
 the exact factor lambda**(2k): the coupling-scale sweep rescales one set
 of channel sums, and the crossover, the scale at which the two- and
 three-phonon rates coincide, is the closed form sqrt(r4 / r6) of the rates
@@ -94,9 +94,9 @@ def sweep_temperature(
 ) -> SweepSeries:
     """T1 versus temperature, one series per requested order.
 
-    One multi-temperature pass per transition pair and order evaluates
-    each surviving tuple's amplitude once per direction; every point
-    equals a one-temperature evaluation there bit for bit.
+    One multi-temperature pass per state pair and order evaluates each
+    surviving tuple's amplitude once; every point equals a one-temperature
+    evaluation there bit for bit.
     """
     temps = _axis(temperatures)
     return _series(temps, order_generator_matrices(model, temps, shape, orders))
@@ -135,7 +135,7 @@ def sweep_lambda(
 ) -> SweepSeries:
     """T1 versus the homogeneous coupling multiplier, per order.
 
-    The scale-free channel sums are evaluated once per transition pair
+    The scale-free channel sums are evaluated once per state pair
     and order; each point multiplies them by its scale**order, exactly as
     a one-point evaluation at that scale would.
     """

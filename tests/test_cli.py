@@ -142,6 +142,15 @@ class TestSweepCommands:
         lam = float(capsys.readouterr().out.strip())
         assert lam > 0.0
 
+    @pytest.mark.parametrize("orders", ["2", "4", "6", "2,4", "2,6"])
+    def test_crossover_without_orders_4_and_6_exits_1(self, tmp_path, capsys, orders):
+        model = gen_model_file(tmp_path)
+        assert run_cli(["crossover", "--input", str(model), "--orders", orders]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "orders 4 and 6" in captured.err
+        assert run_cli(["crossover", "--input", str(model), "--orders", "4,6"]) == 0
+
 
 class TestDeterminism:
     def test_identical_output_across_threads(self, tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +99,91 @@ class TestAssembleGenerator:
             assemble_generator(small_model, 300.0, shape, ())
         with pytest.raises(ValueError):
             assemble_generator(small_model, 300.0, shape, (3,))
+
+
+def boltzmann_populations(energies, temperature):
+    """Boltzmann populations, formed apart from the program's factors."""
+    x = (np.asarray(energies) - energies[0]) / (BOLTZMANN_CM_PER_K * temperature)
+    p = np.exp(-x)
+    return p / p.sum()
+
+
+class TestDetailedBalanceGenerator:
+    """Only downward rates are evaluated; each upward entry is its downward
+    partner times exp(-dE / k_B T), so the Boltzmann state is stationary."""
+
+    @staticmethod
+    def model(n_states, excited_offset=30.0):
+        return generate_model(ModelSpec(seed=40 + n_states, n_states=n_states,
+                                        n_modes=12, gap=5.0,
+                                        excited_offset=excited_offset,
+                                        freq_range=(20.0, 150.0)))
+
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    @pytest.mark.parametrize("points", ["one", "temperatures", "mode_limits", "scales"])
+    def test_boltzmann_state_is_stationary(self, shape, n_states, points):
+        model = self.model(n_states)
+        temperature, kwargs = {
+            "one": (280.0, {}),
+            "temperatures": ([8.0, 40.0, 280.0, 3000.0], {}),
+            "mode_limits": (150.0, {"mode_limits": [3, 8, 12]}),
+            "scales": (150.0, {"scales": [0.5, 2.0, 7.0]}),
+        }[points]
+        matrices = order_generator_matrices(model, temperature, shape, (2, 4, 6),
+                                            **kwargs)
+        for order, stack in matrices.items():
+            stack = stack if stack.ndim == 3 else [stack]
+            for matrix, t in zip(stack, itertools.cycle(np.atleast_1d(temperature))):
+                norm = np.max(np.abs(matrix))
+                assert norm > 0.0, (order, t)
+                flow = matrix @ boltzmann_populations(model.system.energies, t)
+                assert np.max(np.abs(flow)) <= 1e-15 * norm, (order, t)
+
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    def test_nothing_goes_up_at_1e_320_kelvin(self, shape, n_states):
+        """The factor's exponent overflows; every upward entry is exactly 0,
+        with no RuntimeWarning, and the ground state is stationary."""
+        model = self.model(n_states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for temperature in (1e-320, [1e-320, 300.0]):
+                matrices = order_generator_matrices(model, temperature, shape)
+                for order, matrix in matrices.items():
+                    cold = matrix if matrix.ndim == 2 else matrix[0]
+                    assert np.all(cold[np.tril_indices(n_states, -1)] == 0.0)
+                    assert np.all(cold[:, 0] == 0.0)
+                    downward = cold[np.triu_indices(n_states, 1)]
+                    assert np.all(downward >= 0.0)
+                    # one-phonon emission alone still relaxes every state down
+                    assert order > 2 or np.all(downward > 0.0)
+
+    @pytest.mark.parametrize("n_states", [3, 4])
+    def test_degenerate_levels(self, shape, monkeypatch, n_states):
+        """gen-model --excited-offset 0 puts every state but the ground one at
+        the gap. The tie goes to the lower index: that rate is the standalone
+        one, its upward partner equals it exactly, and each source builds one
+        table set per order."""
+        from spinphonon import rate_at_order, rates
+
+        model = self.model(n_states, excited_offset=0.0)
+        assert np.all(model.system.energies[1:] == model.system.energies[1])
+        builds = []
+        build = rates._source_tables
+
+        def counting(order, a, *args):
+            builds.append((order, a))
+            return build(order, a, *args)
+
+        monkeypatch.setattr(rates, "_source_tables", counting)
+        matrices = order_generator_matrices(model, 280.0, shape)
+        monkeypatch.undo()
+        assert builds == [(order, c) for order in (2, 4, 6) for c in range(1, n_states)]
+        for order, matrix in matrices.items():
+            for low in range(1, n_states):
+                for high in range(low + 1, n_states):
+                    alone = rate_at_order(order, low, high, *model, 280.0, shape)
+                    assert matrix[low, high] == alone.total > 0.0
+                    assert matrix[high, low] == matrix[low, high]
 
 
 class TestExtractT1:

@@ -671,10 +671,12 @@ class TestPairTables:
     @pytest.mark.parametrize("n_states", [2, 3, 4, 5])
     def test_generator_walks_pairs_with_two_table_sets_alive(self, monkeypatch,
                                                              n_states, kind, points):
-        """The pairs {a, b} form a chain in which consecutive pairs share a
-        state, so each pair after the first builds one set: 7 builds per
-        order at n = 4, never more than two sets alive. Every entry and
-        warning is that of a standalone rate call."""
+        """The generator walks the sources in ascending energy, each over the
+        states below it, so an order builds one table set per state but the
+        lowest (3 at n = 4), and no set is alive when the next is built: one
+        at most, not two. Every downward entry and warning is that of a
+        standalone downward rate call, and every upward entry is that rate
+        times exp(-dE / k_B T) exactly."""
         from spinphonon import (NearResonantDenominatorWarning, order_generator_matrices,
                                 rate_at_order, rates)
 
@@ -693,7 +695,7 @@ class TestPairTables:
         build = rates._source_tables
 
         def counting(order, a, *args):
-            assert sum(ref() is not None for ref in alive) <= 1
+            assert all(ref() is None for ref in alive)
             builds.append((order, a))
             tab = build(order, a, *args)
             alive.append(weakref.ref(tab.tables[()]))
@@ -707,30 +709,35 @@ class TestPairTables:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NearResonantDenominatorWarning)
             matrices = order_generator_matrices(model, temperature, shape, **kwargs)
-        chain = {2: [0, 1], 3: [0, 1, 2, 1], 4: [0, 1, 2, 3, 1, 2, 3],
-                 5: [0, 1, 2, 3, 4, 1, 3, 2, 3, 4, 3]}[n_states]
-        assert builds == [(order, c) for order in (2, 4, 6) for c in chain]
-        assert len(builds) == 3 * (n_states * (n_states - 1) // 2 + 1)
+        # gen-model energies ascend with the state index
+        assert builds == [(order, c) for order in (2, 4, 6) for c in range(1, n_states)]
+        temps = np.atleast_1d(temperature)
         with warnings.catch_warnings(record=True) as caught_alone:
             warnings.simplefilter("always", NearResonantDenominatorWarning)
             for order, matrix in matrices.items():
                 per_point = matrix if matrix.ndim == 3 else [matrix]
-                for b, a in itertools.permutations(range(n_states), 2):
-                    alone = rate_at_order(order, b, a, *model, temperature, shape,
+                for low, high in itertools.combinations(range(n_states), 2):
+                    alone = rate_at_order(order, low, high, *model, temperature, shape,
                                           **kwargs)
                     alone = alone if isinstance(alone, list) else [alone]
                     assert alone[-1].total > 0.0
-                    assert [m[b, a] for m in per_point] == [r.total for r in alone]
+                    assert [m[low, high] for m in per_point] == [r.total for r in alone]
+                    gap = model.system.transition_frequency(high, low)
+                    factors = [math.exp(-gap / (BOLTZMANN_CM_PER_K * t)) for t in temps]
+                    assert [m[high, low] for m in per_point] == [
+                        r.total * f for r, f in zip(alone, itertools.cycle(factors))]
         assert near_resonant(caught) == near_resonant(caught_alone)
         assert sum(near_resonant(caught).values()) > 0
 
-    @pytest.mark.parametrize("walk, n_builds", [("a-major", 8),
-                                                 ("b-major descending", 8)])
-    def test_shared_pair_dict_keeps_two_sets_in_any_pair_order(self, monkeypatch,
-                                                               walk, n_builds):
+    @pytest.mark.parametrize("walk, n_builds", [("a-major", 5),
+                                                 ("b-major descending", 3)])
+    def test_shared_pair_dict_in_any_pair_order(self, monkeypatch, walk, n_builds):
         """Calls b <- a then a <- b that share one ``_pair`` dict keep at most
-        two table sets alive whatever order the pairs come in, and every
-        result is that of a standalone call."""
+        one table set alive whatever order the pairs come in; a set is built
+        whenever the downward source changes. The upward call comes first
+        here: it evaluates the downward rate, leaves it for the downward
+        call, which returns a standalone call's result, and returns its
+        Boltzmann image. No result is left over."""
         from spinphonon import rates
 
         n = 4
@@ -745,7 +752,7 @@ class TestPairTables:
         build = rates._source_tables
 
         def counting(order, a, *args):
-            assert sum(ref() is not None for ref in alive) <= 1
+            assert all(ref() is None for ref in alive)
             builds.append(a)
             tab = build(order, a, *args)
             alive.append(weakref.ref(tab.tables[()]))
@@ -759,11 +766,17 @@ class TestPairTables:
                 for b, a in ((hi, lo), (lo, hi)):
                     shared[order, b, a] = rate_at_order(order, b, a, *model, 280.0,
                                                         shape, _pair=pair)
-            # only two table sets are left; every result was taken
-            assert len(pair) == 2 and pair.keys() <= set(range(n))
+            # only the last source's tables are left
+            assert list(pair) == [pairs[-1][1]]
         assert len(builds) == 3 * n_builds
         monkeypatch.undo()
-        for (order, b, a), got in shared.items():
-            alone = rate_at_order(order, b, a, *model, 280.0, shape)
-            assert got.per_channel == alone.per_channel
-            assert got.total == alone.total
+        for order, (lo, hi) in itertools.product((2, 4, 6), pairs):
+            down, up = shared[order, lo, hi], shared[order, hi, lo]
+            alone = rate_at_order(order, lo, hi, *model, 280.0, shape)
+            assert down.per_channel == alone.per_channel
+            assert down.total == alone.total
+            gap = model.system.transition_frequency(hi, lo)
+            factor = math.exp(-gap / (BOLTZMANN_CM_PER_K * 280.0))
+            assert 0.0 < factor < 1.0
+            assert up.total == down.total * factor
+            assert up.per_channel == {p: v * factor for p, v in down.per_channel.items()}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinphonon import (
+    BOLTZMANN_CM_PER_K,
     CouplingSet,
     Model,
     ModelSpec,
@@ -86,11 +87,13 @@ class TestSweepLambda:
     def test_identity_scale(self, shape):
         model = crossover_model()
         series = sweep_lambda(model, [1.0], (4, 6), 300.0, shape)
-        direct4 = 1.0 / rate_two_phonon(1, 0, *model, 300.0, shape).total
-        # two-level T1 sums both directions
-        down4 = 1.0 / rate_two_phonon(0, 1, *model, 300.0, shape).total
-        combined = 1.0 / (1.0 / direct4 + 1.0 / down4)
-        assert series.t1_per_order[4][0] == pytest.approx(combined, rel=1e-12)
+        # two-level T1 sums the downward rate and its detailed-balance image
+        gap = model.system.transition_frequency(1, 0)
+        assert gap > 0.0
+        down4 = rate_two_phonon(0, 1, *model, 300.0, shape).total
+        boltzmann = math.exp(-gap / (BOLTZMANN_CM_PER_K * 300.0))
+        closed = 1.0 / (down4 * (1.0 + boltzmann))
+        assert series.t1_per_order[4][0] == pytest.approx(closed, rel=1e-12)
 
     def test_exact_quartic_and_sextic_scaling(self, shape):
         model = crossover_model()
