@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Lineshape, Model
+from .core import ORDERS, Lineshape, Model
 from .dynamics import assemble_generator, extract_t1
 from .io import (
     ModelFileError,
@@ -42,6 +42,7 @@ from .rates import rate_at_order
 from .sweeps import find_crossover, sweep_cutoff, sweep_lambda, sweep_temperature
 
 _ORACLE_TOL = 1e-10
+_ORDERS = ",".join(map(str, ORDERS))
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:
@@ -49,8 +50,8 @@ def _parse_orders(text: str) -> tuple[int, ...]:
         orders = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse orders {text!r}") from None
-    if not orders or any(k not in (2, 4, 6) for k in orders):
-        raise argparse.ArgumentTypeError("orders must be a subset of 2,4,6")
+    if not orders or any(k not in ORDERS for k in orders):
+        raise argparse.ArgumentTypeError(f"orders must be a subset of {_ORDERS}")
     return orders
 
 
@@ -121,10 +122,10 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                    default="gaussian", help="broadened delta kind (default gaussian)")
 
 
-def _add_common_args(p: argparse.ArgumentParser, orders_default: str = "2,4,6") -> None:
+def _add_common_args(p: argparse.ArgumentParser, orders_default: str = _ORDERS) -> None:
     p.add_argument("--input", required=True, help="model JSON file")
     p.add_argument("--orders", type=_parse_orders, default=_parse_orders(orders_default),
-                   help=f"comma-separated subset of 2,4,6 (default {orders_default})")
+                   help=f"comma-separated subset of {_ORDERS} (default {orders_default})")
     _add_run_args(p)
 
 
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Spin-lattice relaxation from one-, two-, and three-phonon "
             "processes. Defaults: sigma 10 cm^-1, eta 1 cm^-1, window 6, "
-            "orders 2,4,6."
+            f"orders {_ORDERS}."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_t1)
 
     for name, axis, orders, grid in (
-        ("sweep-temp", "temperature", "2,4,6",
+        ("sweep-temp", "temperature", _ORDERS,
          "temperature grid start:stop:npoints[:log], in K"),
         ("sweep-cutoff", "phonon energy cutoff", "6",
          "cutoff grid start:stop:npoints[:log], in cm^-1"),

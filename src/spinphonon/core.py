@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -30,6 +31,10 @@ CM_TO_RATE_S = 2.0 * math.pi * SPEED_OF_LIGHT_CM_S
 ABSORB = -1
 EMIT = +1
 
+#: The perturbative orders k, ascending: order k carries k / 2 phonons,
+#: named by the word in messages ("two-phonon").
+ORDERS = {2: "one", 4: "two", 6: "three"}
+
 # exp argument beyond which the Bose occupation underflows to exactly 0
 _EXP_ARG_MAX = 700.0
 
@@ -38,6 +43,18 @@ _HERMITICITY_TOL = 1e-10
 
 class NearResonantDenominatorWarning(UserWarning):
     """An amplitude denominator real part came within eta/10 of zero."""
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer, numpy's too, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_order(order) -> int:
+    """A perturbative order of ``ORDERS`` as an int: an integer, not a bool."""
+    if is_integer(order) and order in ORDERS:
+        return int(order)
+    raise ValueError(f"order must be one of {', '.join(map(str, ORDERS))}, got {order!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +201,7 @@ class Lineshape:
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Absorb/emit assignment for each phonon of a 1-, 2-, or 3-phonon process.
+    """Absorb/emit assignment for each phonon of a process of one of ``ORDERS``.
 
     ``signs[i]`` applies to the i-th participating mode in ascending mode
     order and is ``EMIT`` (+1, phonon created) or ``ABSORB`` (-1, phonon
@@ -195,8 +212,8 @@ class SignPattern:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.signs) not in (1, 2, 3):
-            raise ValueError("a sign pattern covers 1, 2, or 3 phonons")
+        if 2 * len(self.signs) not in ORDERS:
+            raise ValueError(f"a sign pattern covers k / 2 phonons, k in {list(ORDERS)}")
         if any(s not in (ABSORB, EMIT) for s in self.signs):
             raise ValueError("signs must be ABSORB (-1) or EMIT (+1)")
         object.__setattr__(self, "signs", tuple(self.signs))
@@ -221,13 +238,13 @@ class SignPattern:
 
 
 def sign_patterns(n_phonons: int) -> tuple[SignPattern, ...]:
-    """All 2**n sign patterns for an n-phonon process, in a fixed order.
+    """All 2**n sign patterns for an n-phonon process of ``ORDERS``, in a fixed order.
 
     The enumeration order (emission before absorption at each position) is
     the canonical channel order used for rate breakdowns and CSV columns.
     """
-    if n_phonons not in (1, 2, 3):
-        raise ValueError("processes carry 1, 2, or 3 phonons")
+    if not (is_integer(n_phonons) and 2 * n_phonons in ORDERS):
+        raise ValueError(f"processes carry k / 2 phonons, k in {list(ORDERS)}")
     return tuple(map(SignPattern, itertools.product((EMIT, ABSORB), repeat=n_phonons)))
 
 

@@ -21,10 +21,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Lineshape, Model, validate_model
+from .core import ORDERS, Lineshape, Model, check_order, validate_model
 from .rates import _single_point, rate_at_order
-
-_VALID_ORDERS = (2, 4, 6)
 
 #: Relative threshold below which an eigenvalue real part counts as the
 #: conserved (stationary) mode rather than a decay mode.
@@ -79,18 +77,11 @@ class DecayMode(NamedTuple):
     multiplicity: int
 
 
-def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(k) for k in orders)))
-    if not out or any(k not in _VALID_ORDERS for k in out):
-        raise ValueError(f"orders must be a non-empty subset of {_VALID_ORDERS}")
-    return out
-
-
 def order_generator_matrices(
     model: Model,
     temperature: float | Sequence[float],
     shape: Lineshape,
-    orders: Iterable[int] = _VALID_ORDERS,
+    orders: Iterable[int] = tuple(ORDERS),
     *,
     mode_limits: Sequence[int] | None = None,
     scales: Sequence[float] | None = None,
@@ -105,7 +96,9 @@ def order_generator_matrices(
     exp(-(E_a - E_b) / k_B T). Each source a > 0 builds one table set.
     """
     validate_model(model)
-    orders = _check_orders(orders)
+    orders = sorted({check_order(k) for k in orders})
+    if not orders:
+        raise ValueError("orders must not be empty")
     system, bath, couplings = model
     n = system.n_states
     single = _single_point(temperature, mode_limits, scales)
@@ -134,7 +127,7 @@ def assemble_generator(
     model: Model,
     temperature: float,
     shape: Lineshape,
-    orders: Iterable[int] = _VALID_ORDERS,
+    orders: Iterable[int] = tuple(ORDERS),
 ) -> RateGenerator:
     """Sum the per-order generators into one Markovian population generator.
 

@@ -25,6 +25,7 @@ from .core import (
     SpinSystem,
     CM_TO_RATE_S,
     channel_weight,
+    is_integer,
     sign_patterns,
 )
 from .rates import RateBreakdown
@@ -88,7 +89,7 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("seed", "n_states", "n_modes"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")

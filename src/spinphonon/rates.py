@@ -1,4 +1,4 @@
-"""Population-transfer rates at second, fourth, and sixth perturbative order.
+"""Population-transfer rates at each perturbative order of ``core.ORDERS``.
 
 Each order produces one rate per absorb/emit channel, and every channel
 has the same shape: a sum over mode tuples of three factors.
@@ -30,16 +30,18 @@ several coupling scales. Each chunk is evaluated vectorized on the calling
 thread; its |A|^2 is computed once and reduced against every point: one
 temperatures x tuples block, its rows summed into the chunk's group, added
 in chunk order, so results are bit-stable from run to run. The ``threads``
-argument of the public rate functions is validated (at least 1) and ignored.
+argument of the public rate functions, an integer of at least 1, is ignored.
 
 Before its chunk loop, a rate call tabulates its source's amplitudes as
 one recursion over levels, each adding one mode and one denominator.
 Level 0 is the table (): the one-hot column of state a.
 For the signs s of an ascending mode set Q, level |Q| holds T_s[c; Q], the
 sum over m in Q, ascending, of sum_d V^m[c, d] T_s'[d; Q - m] (s' drops the
-sign of m), divided by D_c(Q) = E_c - E_a + sum_Q s_q w_q + i eta. Level 1
-has M columns per sign; level 2, built at order 6 only, one packed strict
-upper triangle per sign pair. Each entry carries the smallest |real
+sign of m), divided by D_c(Q) = E_c - E_a + sum_Q s_q w_q + i eta. Order
+2 k builds levels 0 to k - 1. Level k has a column per k-set of modes, in
+lexicographic order: each set of level k - 1 extended by every later mode,
+so a set's column is an offset, looked up at the column of its first k - 1
+modes, plus its last mode. Each entry carries the smallest |real
 denominator| of everything it contains. With M modes and n states, order 6
 keeps n + 2 M n + (2 M^2 - 2 M) n complex numbers (about 5.8 MB at M = 300,
 n = 2, 11.5 MB at n = 4) plus 2 M^2 reals of minima (1.4 MB at M = 300),
@@ -77,6 +79,7 @@ from .core import (
     BOLTZMANN_CM_PER_K,
     CM_TO_RATE_S,
     EMIT,
+    ORDERS,
     CouplingSet,
     Lineshape,
     Model,
@@ -85,6 +88,8 @@ from .core import (
     SignPattern,
     SpinSystem,
     _EXP_ARG_MAX,
+    check_order,
+    is_integer,
     sign_patterns,
     validate_model,
 )
@@ -188,14 +193,16 @@ def _bose_product(factors: dict[int, np.ndarray], prefix: tuple[np.ndarray, ...]
 # pruning
 
 
-def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray]:
+def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat intp (row, index) pairs for every index in [start[row], stop[row]),
-    row by row; ``stop`` may be one bound for every row."""
+    row by row, pair (row, index) being number index - shift[row], and the
+    shifts; ``stop`` may be one bound for every row."""
     counts = np.maximum(stop - start, 0)
+    shift = start - (np.cumsum(counts) - counts)
     rows = np.repeat(np.arange(counts.size), counts)
-    index = np.repeat(start - (np.cumsum(counts) - counts), counts)
+    index = np.repeat(shift, counts)
     index += np.arange(rows.size)
-    return rows, index
+    return rows, index, shift
 
 
 def _chunks(
@@ -228,7 +235,7 @@ def _chunks(
     half = shape.halfwidth
     prefix, last, mismatch = [], np.full(1, -1), np.full(1, omega_ba)
     for s in signs[:-1]:
-        rows, last = _expand(last + 1, m)
+        rows, last, _ = _expand(last + 1, m)
         prefix = [ix[rows] for ix in prefix] + [last]
         mismatch = mismatch[rows] + s * freqs[last]
     # the admissible s * w_last lies in [-half - mismatch, half - mismatch]
@@ -249,7 +256,7 @@ def _chunks(
         cuts = np.flatnonzero(np.diff(np.cumsum(end[live] - first[live]) // CHUNK,
                                       prepend=0)) + 1
         for part in np.split(live, cuts):
-            rows, ix = _expand(first[part], end[part])
+            rows, ix, _ = _expand(first[part], end[part])
             part = own[part]
             d = mismatch[part][rows] + s * freqs[ix]
             keep = np.abs(d) <= half
@@ -296,25 +303,26 @@ class _Tables(NamedTuple):
     """
 
     #: signs of an ascending mode set Q -> its level's table T_s[c; Q] (module
-    #: docstring) at column _column(tri_row, Q): n x 1 for (), the one-hot
-    #: column of state a; n x M for one mode; n x M(M-1)/2 for a pair
+    #: docstring), n x C(M, |Q|), at column _column(offsets, Q); for (), the
+    #: one-hot column of state a
     tables: dict[tuple[int, ...], np.ndarray]
     #: same keys -> smallest |real denominator| per column: inf for (), else
     #: min over c of |Re D_c(Q)| folded with the minima of the children
     mins: dict[tuple[int, ...], np.ndarray]
-    #: column of the pair q < r is tri_row[q] + r, length M
-    tri_row: np.ndarray
+    #: per level k >= 1, one offset per column of level k - 1: the set Q + (x),
+    #: x after Q's last mode, sits at column offsets[k - 1][column of Q] + x
+    offsets: list[np.ndarray]
 
 
-def _column(tri_row: np.ndarray, modes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Column of each ascending mode set in its level's table: 0 for the
-    empty set, the mode for one, tri_row[q] + r for a pair q < r."""
-    if not modes:
-        return np.zeros(1, dtype=np.intp)
-    if len(modes) == 1:
-        return modes[0]
-    q, r = modes
-    return tri_row.take(q) + r
+def _column(offsets: list[np.ndarray], modes: tuple[np.ndarray, ...],
+            runs: int = 1) -> np.ndarray:
+    """Column of each ascending mode set in its level's table, the sets given
+    as one index array per position (as ``runs`` empty sets if none): each
+    mode moves the column of its set's first modes to its own level."""
+    col = np.zeros(runs, dtype=np.intp)
+    for offset, ix in zip(offsets, modes):
+        col = offset.take(col) + ix
+    return col
 
 
 def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
@@ -324,26 +332,25 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
     time, beside a few M x M blocks of scratch: each child's terms are one
     flat gather from its raveled block, at an index precomputed per level."""
     m, n = v.shape[:2]
-    q = np.arange(m)
-    tri_row = q * (m - 1) - q * (q - 1) // 2 - q - 1
     tables, mins = {(): np.eye(n, dtype=complex)[:, [a]]}, {(): np.full(1, np.inf)}
-    modes, last = (), np.full(1, -1)
+    modes, last, offsets = (), np.full(1, -1), []
     for level in range(1, order // 2):
         # the level's mode sets in lexicographic order, one array per position
-        rows, last = _expand(last + 1, m)
+        rows, last, shift = _expand(last + 1, m)
+        offsets.append(-shift)
         modes = tuple(ix[rows] for ix in modes) + (last,)
         # child i of a set drops its i-th mode, and of a key its i-th sign
-        cols = [_column(tri_row, modes[:i] + modes[i + 1:]) for i in range(level)]
+        cols = [_column(offsets, modes[:i] + modes[i + 1:], last.size) for i in range(level)]
         keys = list(itertools.product((EMIT, ABSORB), repeat=level))
-        # the term of child i sits at flat[i] of the raveled M x width block
-        # inner_s' = V[:, c, :] @ T_s', with one column per child set
-        width = tables[keys[0][1:]].shape[1]
-        flat = [modes[i] * width + col for i, col in enumerate(cols)]
         for key in keys:
             tables[key] = np.empty((n, last.size), dtype=complex)
             mins[key] = np.full(last.size, np.inf)
             for i, col in enumerate(cols):
                 np.minimum(mins[key], mins[key[:i] + key[i + 1:]][col], out=mins[key])
+        # child i's term sits at flat[i] (formed in place from its column) of
+        # the raveled M x width block inner_s' = V[:, c, :] @ T_s'
+        width = tables[keys[0][1:]].shape[1]
+        flat = [np.add(col, modes[i] * width, out=col) for i, col in enumerate(cols)]
         total = np.empty(last.size, dtype=complex)
         for c in range(n):
             inner = {k: (v[:, c, :] @ tables[k]).ravel()
@@ -359,19 +366,7 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
                 np.minimum(mins[key], np.abs(real), out=mins[key])
             # free this state's blocks before the next state's are formed
             del inner
-    return _Tables(tables, mins, tri_row)
-
-
-def _columns(tri_row: np.ndarray, prefix: tuple[np.ndarray, ...], rows: np.ndarray,
-             last: np.ndarray) -> list[np.ndarray]:
-    """Per position p of a chunk's tuples, the column of the other modes in
-    their level's table: per tuple for a prefix position, whose other modes
-    end with the last one, and per prefix for the last position."""
-    cols = []
-    for p in range(len(prefix)):
-        rest = prefix[:p] + prefix[p + 1:]
-        cols.append(tri_row.take(rest[0]).take(rows) + last if rest else last)
-    return cols + [_column(tri_row, prefix)]
+    return _Tables(tables, mins, offsets)
 
 
 def _amp2(prefix: tuple[np.ndarray, ...], rows: np.ndarray, last: np.ndarray,
@@ -381,28 +376,27 @@ def _amp2(prefix: tuple[np.ndarray, ...], rows: np.ndarray, last: np.ndarray,
     their table entries.
 
     Each first mode q takes V[q, b, :] of the destination b, the column
-    v_b[:, q], dotted with the table entry of the other modes (``_columns``),
-    which sums their orderings and carries their minima. A prefix mode's
-    couplings, and the last position's entries and minima, are gathered once
-    per prefix and expanded by ``rows``; every prefix has a tuple, so its
-    minimum is theirs.
+    v_b[:, q], dotted with the table entry of the other modes, which sums
+    their orderings and carries their minima. The column of the other prefix
+    modes, a prefix mode's couplings, and the last position's entries and
+    minima are gathered once per prefix and expanded by ``rows``; every
+    prefix has a tuple, so its minimum is theirs.
     """
     amp = np.zeros(rows.size, dtype=complex)
-    min_abs = np.inf
-    for p, col in enumerate(_columns(tab.tri_row, prefix, rows, last)):
+    min_abs, runs, level = np.inf, rows[-1] + 1, len(prefix)
+    for p in range(level + 1):
         key = signs[:p] + signs[p + 1:]
-        min_abs = min(min_abs, float(tab.mins[key].take(col).min()))
-        if p < len(prefix):
+        col = _column(tab.offsets, prefix[:p] + prefix[p + 1:], runs)
+        if p < level:
+            col = tab.offsets[level - 1].take(col).take(rows) + last
             terms = v_b.take(prefix[p], axis=1).take(rows, axis=1)
             terms *= tab.tables[key].take(col, axis=1)
         else:
             terms = v_b.take(last, axis=1)
             terms *= tab.tables[key].take(col, axis=1).take(rows, axis=1)
+        min_abs = min(min_abs, float(tab.mins[key].take(col).min()))
         amp += terms.sum(axis=0)
     return amp.real**2 + amp.imag**2, min_abs
-
-
-_PHONONS = {2: "one", 4: "two", 6: "three"}
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +515,7 @@ def _rates(
         sums[pattern] = np.cumsum(total, axis=0).ravel().tolist()
     if min_abs < shape.eta / 10.0:
         warnings.warn(
-            f"{_PHONONS[order]}-phonon amplitude denominator within eta/10 of "
+            f"{ORDERS[order]}-phonon amplitude denominator within eta/10 of "
             f"zero (|x| = {min_abs:.3e} cm^-1)",
             NearResonantDenominatorWarning,
             stacklevel=_caller_stacklevel(),
@@ -545,7 +539,7 @@ def rate_at_order(
     scales: Sequence[float] | None = None,
     _pair: dict | None = None,
 ) -> RateBreakdown | list[RateBreakdown]:
-    """Rate R_ba of the given perturbative order (2, 4, or 6), at one point or many.
+    """Rate R_ba of a perturbative order of ``ORDERS``, at one point or many.
 
     With a scalar ``temperature`` and neither ``mode_limits`` nor
     ``scales``, returns one RateBreakdown. Otherwise returns a list with
@@ -564,50 +558,41 @@ def rate_at_order(
     whatever the number of points. The values at each temperature or
     scale, and at one limit of all modes, are bit-identical to a one-point
     call there; other mode-limit points agree with ``restrict_bath`` to
-    rounding, since their sums run in another order. ``threads`` must be at
-    least 1 and is otherwise ignored: the kernel runs on the calling thread.
+    rounding, since their sums run in another order. ``threads`` must be an
+    integer of at least 1 and is otherwise ignored: the kernel runs on the
+    calling thread.
 
-    ``_pair`` is private to ``order_generator_matrices``, which passes one
-    dict per order to the calls b <- a and a <- b of every pair. Whichever
-    comes first evaluates the downward rate, into the lower index (energies
-    are sorted; ties go there too), and returns it or its upward image:
-    each channel and the total times ``_boltzmann`` of the pair's gap at
-    the point's temperature. It leaves the other under (a, b) for the other
-    call. The source's tables stay for its next downward destination; any
-    other set is dropped before one is built, so at most one is alive.
-    Only calls at the same order, model, lineshape and points may share it.
+    ``_pair`` is private to ``order_generator_matrices``: one dict per order
+    for the downward call b <- a (b < a: energies are sorted), then the
+    upward a <- b, of every pair, sources ascending. The downward call leaves
+    under (a, b) its rate times ``_boltzmann`` of the gap at each point's
+    temperature, for the upward call. A new source clears the dict before it
+    builds, so one table set is alive; only calls at one order, model,
+    lineshape and points share it.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if order not in _PHONONS:
-        raise ValueError(f"order must be 2, 4, or 6, got {order}")
+    if not (is_integer(threads) and threads >= 1):
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
+    order = check_order(order)
     validate_model(Model(system, bath, couplings))
     _check_transition(b, a, system.n_states)
     if _pair is not None and (b, a) in _pair:
         return _pair.pop((b, a))
     points = _check_points(temperature, mode_limits, scales, bath, couplings.scale)
-    # with _pair, the downward rate: energies are sorted
-    up = _pair is not None and b > a
-    dest, source = (a, b) if up else (b, a)
     held = {} if _pair is None else _pair
-    if source not in held:
-        # results are keyed by pairs, table sets by their state
-        for state in [key for key in held if not isinstance(key, tuple)]:
-            del held[state]
-        d_e = system.energies - system.energies[source]
-        held[source] = _source_tables(order, source, d_e, bath.frequencies,
-                                      couplings.matrices, shape.eta)
-    # [c, q] = V[q, dest, c]
-    v_b = np.ascontiguousarray(couplings.matrices[:, dest, :].T)
-    rates = _rates(order, system.transition_frequency(dest, source), held[source],
-                   v_b, bath, shape, points)
+    if a not in held:
+        held.clear()
+        held[a] = _source_tables(order, a, system.energies - system.energies[a],
+                                 bath.frequencies, couplings.matrices, shape.eta)
+    # [c, q] = V[q, b, c]
+    v_b = np.ascontiguousarray(couplings.matrices[:, b, :].T)
+    rates = _rates(order, system.transition_frequency(b, a), held[a], v_b, bath, shape,
+                   points)
     if _pair is not None:
-        gap = system.transition_frequency(source, dest)
+        gap = system.transition_frequency(a, b)
         factors = [_boltzmann(gap, float(t)) for t in np.atleast_1d(temperature)]
         image = [RateBreakdown(r.order, {p: v * f for p, v in r.per_channel.items()},
                                r.total * f)
                  for r, f in zip(rates, itertools.cycle(factors))]
-        rates, image = (image, rates) if up else (rates, image)
         _pair[a, b] = image[0] if points.single else image
     return rates[0] if points.single else rates
 

@@ -21,8 +21,10 @@ import numpy as np
 
 from .core import (
     BOLTZMANN_CM_PER_K,
+    ORDERS,
     Lineshape,
     Model,
+    check_order,
     restrict_bath,
     with_coupling_scale,
 )
@@ -50,7 +52,7 @@ class SweepSeries:
             if v.shape != ax.shape:
                 raise ValueError("every series must match the axis length")
             v.setflags(write=False)
-            series[int(order)] = v
+            series[check_order(order)] = v
         ax.setflags(write=False)
         object.__setattr__(self, "axis", ax)
         object.__setattr__(self, "t1_per_order", series)
@@ -89,7 +91,7 @@ def _series(axis: np.ndarray, mats: dict[int, np.ndarray]) -> SweepSeries:
 def sweep_temperature(
     model: Model,
     temperatures: Sequence[float],
-    orders: Iterable[int] = (2, 4, 6),
+    orders: Iterable[int] = tuple(ORDERS),
     shape: Lineshape = Lineshape(),
 ) -> SweepSeries:
     """T1 versus temperature, one series per requested order.

@@ -158,6 +158,12 @@ class TestSignPattern:
             SignPattern((1, 2))
         with pytest.raises(ValueError):
             SignPattern.from_label("+x")
+        with pytest.raises(ValueError):
+            SignPattern((EMIT,) * 4)
+        # a phonon count is an integer, not a bool, half of an order
+        for bad in (0, 4, 1.5, 2.0, True):
+            with pytest.raises(ValueError):
+                sign_patterns(bad)
 
 
 class TestChannelWeight:

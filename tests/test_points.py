@@ -12,6 +12,7 @@ from spinphonon import (
     BOLTZMANN_CM_PER_K,
     Lineshape,
     ModelSpec,
+    SweepSeries,
     assemble_generator,
     crossover_scale,
     extract_t1,
@@ -31,6 +32,7 @@ from spinphonon import (
     with_coupling_scale,
 )
 from spinphonon import dynamics, rates, sweeps
+from spinphonon.core import ORDERS, check_order
 from spinphonon.dynamics import RateGenerator
 
 from conftest import max_channel_dev
@@ -303,6 +305,48 @@ class TestPointValidation:
     def test_threads_below_one_rejected(self, shape, small_model, order, threads):
         with pytest.raises(ValueError, match="threads"):
             rate_at_order(order, 1, 0, *small_model, 300.0, shape, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1.5, 2.0, True])
+    def test_threads_must_be_an_integer(self, shape, small_model, threads):
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            rate_at_order(4, 1, 0, *small_model, 300.0, shape, threads=threads)
+        assert rate_at_order(4, 1, 0, *small_model, 300.0, shape,
+                             threads=np.int64(2)).total > 0.0
+
+    @pytest.mark.parametrize("bad", [4.5, 4.0, True, 8, 0])
+    def test_every_entry_point_rejects_an_order_with_one_message(self, shape,
+                                                                 small_model, bad):
+        """A float, even a whole one, a bool or an order outside the set
+        fails alike in the kernel, the generator, the sweeps and their
+        series."""
+        with pytest.raises(ValueError) as caught:
+            check_order(bad)
+        message = str(caught.value)
+        assert message == f"order must be one of 2, 4, 6, got {bad!r}"
+        for call in (
+            lambda: rate_at_order(bad, 1, 0, *small_model, 300.0, shape),
+            lambda: order_generator_matrices(small_model, 300.0, shape, [bad]),
+            lambda: assemble_generator(small_model, 300.0, shape, [4, bad]),
+            lambda: sweep_temperature(small_model, [300.0], [bad], shape),
+            lambda: SweepSeries([300.0], {2: [1.0], bad: [2.0]}),
+        ):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == message
+
+    def test_numpy_integer_orders_give_the_same_bits(self, shape, small_model):
+        for order in ORDERS:
+            plain = rate_at_order(order, 1, 0, *small_model, 300.0, shape)
+            wide = rate_at_order(np.int64(order), 1, 0, *small_model, 300.0, shape)
+            assert wide.order == order and type(wide.order) is int
+            assert wide.per_channel == plain.per_channel
+            assert wide.total == plain.total
+        plain = order_generator_matrices(small_model, [80.0, 300.0], shape)
+        wide = order_generator_matrices(small_model, [80.0, 300.0], shape,
+                                        np.array([6, 2, 4, 4]))
+        assert list(wide) == list(plain) == list(ORDERS)
+        for order in ORDERS:
+            assert np.array_equal(wide[order], plain[order])
 
 
 def test_lorentzian_temperature_points_equal_one_point_calls():

@@ -289,9 +289,9 @@ class TestPruneTriples:
                     assert np.array_equal(np.unique(rows), np.arange(runs))
                     assert np.all(np.diff(rows) >= 0)
                     assert np.all((np.diff(last) > 0) | (np.diff(rows) > 0))
-                    per_tuple_cols = rates._column(tab.tri_row,
+                    per_tuple_cols = rates._column(tab.offsets,
                                                    tuple(ix[rows] for ix in prefix))
-                    assert (np.min(mins[rates._column(tab.tri_row, prefix)])
+                    assert (np.min(mins[rates._column(tab.offsets, prefix)])
                             == np.min(mins[per_tuple_cols]))
         assert n_runs > 1000
 
@@ -642,6 +642,17 @@ class TestPairTables:
             assert np.all(low <= tab.mins[s_q,][q]) and np.all(low <= tab.mins[s_r,][r])
         entries = sum(x.size for x in tab.tables.values())
         assert entries <= 2 * m * n + 2 * m * m * n
+        # each level's sets, in lexicographic order, take columns 0, 1, ...
+        for modes in (0, 1, 2, 3, 7):
+            few = rates._source_tables(6, 1, d_e, model.bath.frequencies[:modes],
+                                       model.couplings.matrices[:modes], 1.0)
+            for level in range(3):
+                count = math.comb(modes, level)
+                sets = np.array(list(itertools.combinations(range(modes), level)),
+                                dtype=np.intp).reshape(count, level)
+                assert np.array_equal(rates._column(few.offsets, tuple(sets.T)),
+                                      np.arange(count))
+                assert few.tables[(EMIT,) * level].shape == (n, count)
 
     @pytest.mark.parametrize("n_states", [2, 4])
     def test_order6_build_scratch(self, n_states):
@@ -732,12 +743,11 @@ class TestPairTables:
     @pytest.mark.parametrize("walk, n_builds", [("a-major", 5),
                                                  ("b-major descending", 3)])
     def test_shared_pair_dict_in_any_pair_order(self, monkeypatch, walk, n_builds):
-        """Calls b <- a then a <- b that share one ``_pair`` dict keep at most
-        one table set alive whatever order the pairs come in; a set is built
-        whenever the downward source changes. The upward call comes first
-        here: it evaluates the downward rate, leaves it for the downward
-        call, which returns a standalone call's result, and returns its
-        Boltzmann image. No result is left over."""
+        """Downward calls b <- a, each followed by its upward call a <- b,
+        that share one ``_pair`` dict keep at most one table set alive
+        whatever order the pairs come in; a set is built whenever the source
+        changes. The downward call returns a standalone call's result, the
+        upward one its Boltzmann image. No result is left over."""
         from spinphonon import rates
 
         n = 4
@@ -763,7 +773,7 @@ class TestPairTables:
         for order in (2, 4, 6):
             pair: dict = {}
             for lo, hi in pairs:
-                for b, a in ((hi, lo), (lo, hi)):
+                for b, a in ((lo, hi), (hi, lo)):
                     shared[order, b, a] = rate_at_order(order, b, a, *model, 280.0,
                                                         shape, _pair=pair)
             # only the last source's tables are left
