@@ -50,7 +50,9 @@ def _parse_orders(text: str) -> tuple[int, ...]:
         orders = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse orders {text!r}") from None
-    if not orders or any(k not in ORDERS for k in orders):
+    if not orders:
+        raise argparse.ArgumentTypeError("orders must not be empty")
+    if any(k not in ORDERS for k in orders):
         raise argparse.ArgumentTypeError(f"orders must be a subset of {_ORDERS}")
     return orders
 

@@ -21,8 +21,8 @@ window. Pruning and evaluation run one chunk at a time: the pruner hands
 each chunk of survivors to the kernel, with their group and mismatches, as
 soon as it is filtered, so no channel's tuples are ever stored whole. A
 chunk comes as runs of tuples that share a prefix (all phonons but the
-last), each prefix given once with the run's last indices; every index
-array is intp, so no gather converts its index.
+last), each prefix given once with its run's length and the run's last
+indices; every index array is intp, so no gather converts its index.
 
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
@@ -50,11 +50,12 @@ is the sum over its first mode p of V^p[b, :] dotted with the level-(k - 1)
 entry of the other modes: one gather and one n-term dot per first mode, no
 division. A chunk is evaluated per prefix run: what depends on the prefix
 alone (the entry of the prefix set that the last mode's couplings dot, with
-its minimum, the destination's couplings at the prefix modes and the prefix
-phonons' Bose factors) is gathered once per prefix and expanded to the run's
-tuples. Each tuple's products and sums take the same operands in the same
-order as when gathered tuple by tuple, so its value does not depend on the
-runs.
+its minimum, the column base of each entry the prefix modes' couplings dot,
+those couplings and the prefix phonons' Bose factors) is gathered once per
+prefix and repeated over the run's length, which writes in order and reads
+no per-tuple index. Each tuple's products and sums take the same operands in
+the same order as when gathered tuple by tuple, so its value does not depend
+on the runs.
 
 The tables do not depend on b, so every transition out of a reads one set.
 A generator evaluates only the downward rate of each pair and sets the
@@ -173,20 +174,26 @@ def _weights(d: np.ndarray, shape: Lineshape) -> np.ndarray:
     the window, so no cut is made here."""
     s = shape.sigma
     if shape.kind == "gaussian":
-        return np.exp(-0.5 * (d / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
-    return (s / np.pi) / (d * d + s * s)
+        x = d / s
+        x *= x
+        x *= -0.5
+        return np.divide(np.exp(x, out=x), s * np.sqrt(2.0 * np.pi), out=x)
+    x = d * d
+    x += s * s
+    return np.divide(s / np.pi, x, out=x)
 
 
 def _bose_product(factors: dict[int, np.ndarray], prefix: tuple[np.ndarray, ...],
-                  rows: np.ndarray, last: np.ndarray,
+                  counts: np.ndarray, last: np.ndarray,
                   signs: tuple[int, ...]) -> np.ndarray:
     """Temperatures x tuples: n + 1 per emitted, n per absorbed phonon, left to
     right; the prefix phonons' factors are multiplied once per prefix, then
-    expanded to its tuples by ``rows``."""
+    repeated over its run of ``counts`` tuples."""
     product = np.ones((len(factors[EMIT]), 1))
     for s, ix in zip(signs, prefix):
         product = product * factors[s].take(ix, axis=1)
-    return product.take(rows, axis=1) * factors[signs[-1]].take(last, axis=1)
+    out = factors[signs[-1]].take(last, axis=1)
+    return np.multiply(out, product.repeat(counts, axis=1), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +201,14 @@ def _bose_product(factors: dict[int, np.ndarray], prefix: tuple[np.ndarray, ...]
 
 
 def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat intp (row, index) pairs for every index in [start[row], stop[row]),
-    row by row, pair (row, index) being number index - shift[row], and the
-    shifts; ``stop`` may be one bound for every row."""
+    """Every index in [start[row], stop[row]), row by row, as each row's count
+    and the flat intp indices, index i of row r being number i - shift[r],
+    and the shifts; ``stop`` may be one bound for every row."""
     counts = np.maximum(stop - start, 0)
     shift = start - (np.cumsum(counts) - counts)
-    rows = np.repeat(np.arange(counts.size), counts)
-    index = np.repeat(shift, counts)
-    index += np.arange(rows.size)
-    return rows, index, shift
+    index = shift.repeat(counts)
+    index += np.arange(index.size)
+    return counts, index, shift
 
 
 def _chunks(
@@ -214,10 +220,10 @@ def _chunks(
 ) -> Iterator[tuple[int, tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]]:
     """Surviving tuples of one channel, a chunk at a time, as runs that share
     a prefix (all phonons but the last): the chunk's group, one index array
-    per prefix phonon with one entry per run, each tuple's run (``rows``,
-    non-decreasing), each tuple's last index (ascending within its run) and
-    the tuples' mismatches. Every run holds at least one tuple. All index
-    arrays are intp.
+    per prefix phonon with one entry per run, each run's length (``counts``,
+    at least 1, summing to the number of tuples), each tuple's last index
+    (run after run, ascending within each) and the tuples' mismatches. All
+    index arrays are intp.
 
     The tuples are strictly index-ordered, with mismatch ((omega_ba + s0 w_i)
     + s1 w_j) + s2 w_k inside [-window * sigma, window * sigma] and last
@@ -235,11 +241,13 @@ def _chunks(
     half = shape.halfwidth
     prefix, last, mismatch = [], np.full(1, -1), np.full(1, omega_ba)
     for s in signs[:-1]:
-        rows, last, _ = _expand(last + 1, m)
-        prefix = [ix[rows] for ix in prefix] + [last]
-        mismatch = mismatch[rows] + s * freqs[last]
+        counts, last, _ = _expand(last + 1, m)
+        prefix = [ix.repeat(counts) for ix in prefix] + [last]
+        mismatch = mismatch.repeat(counts) + s * freqs[last]
     # the admissible s * w_last lies in [-half - mismatch, half - mismatch]
     s = signs[-1]
+    # adding or subtracting w_last gives the bits of s * w_last added
+    step = np.add if s == EMIT else np.subtract
     lo, hi = (-half - mismatch, half - mismatch) if s == EMIT else (
         mismatch - half, mismatch + half)
     start = np.maximum(np.searchsorted(freqs, lo, side="left"), last + 1)
@@ -256,17 +264,17 @@ def _chunks(
         cuts = np.flatnonzero(np.diff(np.cumsum(end[live] - first[live]) // CHUNK,
                                       prepend=0)) + 1
         for part in np.split(live, cuts):
-            rows, ix, _ = _expand(first[part], end[part])
+            counts, ix, _ = _expand(first[part], end[part])
             part = own[part]
-            d = mismatch[part][rows] + s * freqs[ix]
+            d = step(mismatch[part].repeat(counts), freqs[ix])
             keep = np.abs(d) <= half
             if not keep.all():
-                rows, ix, d = rows[keep], ix[keep], d[keep]
+                ix, d = ix[keep], d[keep]
+                counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.intp)
                 # the prefixes that kept no candidate leave the chunk
-                run = np.diff(rows, prepend=-1) != 0
-                part, rows = part[rows[run]], np.cumsum(run) - 1
-            if rows.size:
-                yield group, tuple(prev[part] for prev in prefix), rows, ix, d
+                part, counts = part[counts > 0], counts[counts > 0]
+            if ix.size:
+                yield group, tuple(prev[part] for prev in prefix), counts, ix, d
 
 
 def prune_triples(
@@ -282,9 +290,9 @@ def prune_triples(
     """
     if len(pattern) != 3:
         raise ValueError("triple pruning requires a three-phonon sign pattern")
-    chunks = [np.column_stack([ix[rows] for ix in prefix] + [last])
-              for _, prefix, rows, last, _ in _chunks(omega_ba, pattern, bath, shape,
-                                                       [bath.n_modes])]
+    chunks = [np.column_stack([ix.repeat(counts) for ix in prefix] + [last])
+              for _, prefix, counts, last, _ in _chunks(omega_ba, pattern, bath, shape,
+                                                         [bath.n_modes])]
     return np.concatenate(chunks or [np.empty((0, 3), dtype=int)]).astype(np.int32)
 
 
@@ -316,11 +324,12 @@ class _Tables(NamedTuple):
 
 def _column(offsets: list[np.ndarray], modes: tuple[np.ndarray, ...],
             runs: int = 1) -> np.ndarray:
-    """Column of each ascending mode set in its level's table, the sets given
-    as one index array per position (as ``runs`` empty sets if none): each
-    mode moves the column of its set's first modes to its own level."""
-    col = np.zeros(runs, dtype=np.intp)
-    for offset, ix in zip(offsets, modes):
+    """Column of each ascending mode set in its level's table, as a fresh
+    array, the sets given as one index array per position (as ``runs`` empty
+    sets if none): the first mode is its own column at level 1, and each
+    later mode moves the column of its set's first modes to its own level."""
+    col = modes[0].copy() if modes else np.zeros(runs, dtype=np.intp)
+    for offset, ix in zip(offsets[1:], modes[1:]):
         col = offset.take(col) + ix
     return col
 
@@ -336,9 +345,9 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
     modes, last, offsets = (), np.full(1, -1), []
     for level in range(1, order // 2):
         # the level's mode sets in lexicographic order, one array per position
-        rows, last, shift = _expand(last + 1, m)
+        counts, last, shift = _expand(last + 1, m)
         offsets.append(-shift)
-        modes = tuple(ix[rows] for ix in modes) + (last,)
+        modes = tuple(ix.repeat(counts) for ix in modes) + (last,)
         # child i of a set drops its i-th mode, and of a key its i-th sign
         cols = [_column(offsets, modes[:i] + modes[i + 1:], last.size) for i in range(level)]
         keys = list(itertools.product((EMIT, ABSORB), repeat=level))
@@ -369,7 +378,7 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
     return _Tables(tables, mins, offsets)
 
 
-def _amp2(prefix: tuple[np.ndarray, ...], rows: np.ndarray, last: np.ndarray,
+def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
           signs: tuple[int, ...], tab: _Tables,
           v_b: np.ndarray) -> tuple[np.ndarray, float]:
     """|A|^2 of a chunk's tuples, and the smallest |real denominator| of
@@ -377,25 +386,26 @@ def _amp2(prefix: tuple[np.ndarray, ...], rows: np.ndarray, last: np.ndarray,
 
     Each first mode q takes V[q, b, :] of the destination b, the column
     v_b[:, q], dotted with the table entry of the other modes, which sums
-    their orderings and carries their minima. The column of the other prefix
-    modes, a prefix mode's couplings, and the last position's entries and
-    minima are gathered once per prefix and expanded by ``rows``; every
-    prefix has a tuple, so its minimum is theirs.
+    their orderings and carries their minima. The column base of the other
+    prefix modes, a prefix mode's couplings, and the last position's entries
+    and minima are gathered once per prefix and repeated over its run of
+    ``counts`` tuples; every prefix has a tuple, so its minimum is theirs.
     """
-    amp = np.zeros(rows.size, dtype=complex)
-    min_abs, runs, level = np.inf, rows[-1] + 1, len(prefix)
+    min_abs, level = np.inf, len(prefix)
     for p in range(level + 1):
         key = signs[:p] + signs[p + 1:]
-        col = _column(tab.offsets, prefix[:p] + prefix[p + 1:], runs)
+        col = _column(tab.offsets, prefix[:p] + prefix[p + 1:], counts.size)
         if p < level:
-            col = tab.offsets[level - 1].take(col).take(rows) + last
-            terms = v_b.take(prefix[p], axis=1).take(rows, axis=1)
+            col = tab.offsets[level - 1].take(col).repeat(counts)
+            col += last
+            terms = v_b.take(prefix[p], axis=1).repeat(counts, axis=1)
             terms *= tab.tables[key].take(col, axis=1)
         else:
             terms = v_b.take(last, axis=1)
-            terms *= tab.tables[key].take(col, axis=1).take(rows, axis=1)
+            terms *= tab.tables[key].take(col, axis=1).repeat(counts, axis=1)
         min_abs = min(min_abs, float(tab.mins[key].take(col).min()))
-        amp += terms.sum(axis=0)
+        dot = terms.sum(axis=0)
+        amp = np.add(amp, dot, out=amp) if p else dot
     return amp.real**2 + amp.imag**2, min_abs
 
 
@@ -503,15 +513,16 @@ def _rates(
     for pattern in sign_patterns(order // 2):
         signs = pattern.signs
         total = np.zeros((len(points.limits), len(points.factors[EMIT])))
-        for g, prefix, rows, last, mismatch in _chunks(omega_ba, pattern, bath, shape,
-                                                       points.limits):
-            amp2, low = _amp2(prefix, rows, last, signs, tables, v_b)
+        for g, prefix, counts, last, mismatch in _chunks(omega_ba, pattern, bath, shape,
+                                                         points.limits):
+            amp2, low = _amp2(prefix, counts, last, signs, tables, v_b)
             min_abs = min(min_abs, low)
             # an overflowing Bose factor leaves a non-finite rate for _breakdown
             with np.errstate(over="ignore", invalid="ignore"):
-                bose = _bose_product(points.factors, prefix, rows, last, signs)
-                contrib = amp2 * (bose * _weights(mismatch, shape))
-            total[g] += contrib.sum(axis=1)
+                bose = _bose_product(points.factors, prefix, counts, last, signs)
+                bose *= _weights(mismatch, shape)
+                bose *= amp2
+            total[g] += bose.sum(axis=1)
         sums[pattern] = np.cumsum(total, axis=0).ravel().tolist()
     if min_abs < shape.eta / 10.0:
         warnings.warn(

@@ -22,9 +22,10 @@ def max_channel_dev(fast, naive) -> float:
 
 def per_tuple(chunk):
     """One ``rates._chunks`` chunk as (group, one index array per phonon,
-    mismatches), its prefix runs expanded to one entry per tuple."""
-    group, prefix, rows, last, mismatch = chunk
-    return group, tuple(ix[rows] for ix in prefix) + (last,), mismatch
+    mismatches), each prefix repeated over its run of ``counts`` tuples."""
+    group, prefix, counts, last, mismatch = chunk
+    assert np.all(counts >= 1) and counts.sum() == last.size
+    return group, tuple(np.repeat(ix, counts) for ix in prefix) + (last,), mismatch
 
 
 def hermitian(rng: np.random.Generator, n_modes: int, n_states: int) -> np.ndarray:

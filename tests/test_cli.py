@@ -381,6 +381,20 @@ def parse_rates_output(text):
 
 
 class TestInputValidation:
+    @pytest.mark.parametrize("orders, message", [
+        (",", "orders must not be empty"),
+        ("", "orders must not be empty"),
+        (" , ,", "orders must not be empty"),
+        ("2,8", "orders must be a subset of 2,4,6"),
+    ])
+    def test_orders_error_says_what_is_wrong(self, tmp_path, capsys, orders, message):
+        model = gen_model_file(tmp_path)
+        assert run_cli(["t1", "--input", str(model), "--orders", orders]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert captured.err.count("orders must") == 1
+
     @pytest.mark.parametrize("temp", ["inf", "nan", "-inf"])
     def test_non_finite_temperature_exits_1(self, tmp_path, capsys, temp):
         model = gen_model_file(tmp_path)

@@ -282,12 +282,13 @@ class TestPruneTriples:
                                                     (1, 5, rates.CHUNK)):
                 monkeypatch.setattr(rates, "CHUNK", chunk)
                 mins = tab.mins[pattern.signs[:-1]]
-                for _, prefix, rows, last, _ in rates._chunks(
+                for _, prefix, counts, last, _ in rates._chunks(
                         omega_ba, pattern, PhononBath(freqs), shape, [m]):
                     runs = prefix[0].size if prefix else 1
                     n_runs += runs
-                    assert np.array_equal(np.unique(rows), np.arange(runs))
-                    assert np.all(np.diff(rows) >= 0)
+                    assert counts.size == runs and counts.dtype == np.intp
+                    assert np.all(counts >= 1) and counts.sum() == last.size
+                    rows = np.repeat(np.arange(runs), counts)
                     assert np.all((np.diff(last) > 0) | (np.diff(rows) > 0))
                     per_tuple_cols = rates._column(tab.offsets,
                                                    tuple(ix[rows] for ix in prefix))
@@ -305,11 +306,12 @@ class TestPruneTriples:
         shape = Lineshape(sigma=1.0, window=6.0)
         omega_ba = -8.436258266776939
         assert omega_ba + bath.frequencies[1] + bath.frequencies[2] > shape.halfwidth
-        (group, prefix, rows, last, _), = rates._chunks(
+        (group, prefix, counts, last, _), = rates._chunks(
             omega_ba, SignPattern((EMIT, EMIT)), bath, shape, [3])
         assert group == 0
         assert [ix.tolist() for ix in prefix] == [[0]]
-        assert rows.tolist() == [0, 0] and last.tolist() == [1, 2]
+        assert counts.tolist() == [2] and last.tolist() == [1, 2]
+        assert np.all(counts >= 1) and counts.sum() == last.size
 
     def test_returns_int32_rows(self):
         bath = PhononBath([10.0, 20.0, 30.0, 40.0])
@@ -790,3 +792,76 @@ class TestPairTables:
             assert 0.0 < factor < 1.0
             assert up.total == down.total * factor
             assert up.per_channel == {p: v * factor for p, v in down.per_channel.items()}
+
+
+def _amp2_per_tuple(prefix, counts, last, signs, tab, v_b):
+    """|A|^2 and smallest |real denominator| of a chunk, every operand
+    gathered tuple by tuple: each position's n-term dot summed with
+    ``sum(axis=0)`` and added to a zeroed amplitude."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    modes = tuple(ix[rows] for ix in prefix) + (last,)
+    amp = np.zeros(last.size, dtype=complex)
+    low = np.inf
+    for p in range(len(modes)):
+        key = signs[:p] + signs[p + 1:]
+        col = np.zeros(last.size, dtype=np.intp)
+        for offset, ix in zip(tab.offsets, modes[:p] + modes[p + 1:]):
+            col = offset[col] + ix
+        terms = v_b.take(modes[p], axis=1)
+        terms *= tab.tables[key].take(col, axis=1)
+        low = min(low, float(tab.mins[key][col].min()))
+        amp += terms.sum(axis=0)
+    return amp.real**2 + amp.imag**2, low
+
+
+def _bose_per_tuple(factors, prefix, counts, last, signs):
+    """Temperatures x tuples Bose product, multiplied left to right tuple by tuple."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    product = np.ones((len(factors[EMIT]), 1))
+    for s, ix in zip(signs, prefix):
+        product = product * factors[s].take(ix[rows], axis=1)
+    return product * factors[signs[-1]].take(last, axis=1)
+
+
+class TestRunKernel:
+    """The kernel repeats what is constant over a prefix run; each tuple's
+    value is the one a tuple-by-tuple evaluation gives, to the bit."""
+
+    @pytest.mark.parametrize("n_states", [2, 4])
+    def test_run_kernel_equals_a_per_tuple_evaluation_bit_for_bit(self, monkeypatch,
+                                                                  n_states):
+        from spinphonon import rates
+
+        model = generate_model(ModelSpec(seed=50 + n_states, n_states=n_states,
+                                         n_modes=18, gap=5.0, excited_offset=30.0,
+                                         freq_range=(20.0, 150.0)))
+        system, bath, couplings = model
+        # a narrow window: many prefixes keep one or two tuples
+        shape = Lineshape(sigma=4.0)
+        points = rates._check_points([40.0, 300.0, 2000.0], None, None, bath,
+                                     couplings.scale)
+        sizes = Counter()
+        for order, (b, a) in itertools.product((2, 4, 6), ((1, 0), (0, n_states - 1))):
+            args = (system.energies - system.energies[a], bath.frequencies,
+                    couplings.matrices)
+            before = [x.copy() for x in args]
+            tab = rates._source_tables(order, a, *args, shape.eta)
+            assert all(np.array_equal(x, y) for x, y in zip(args, before))
+            v_b = np.ascontiguousarray(couplings.matrices[:, b, :].T)
+            omega_ba = system.transition_frequency(b, a)
+            for chunk, pattern in itertools.product((1, 5, 4096),
+                                                    sign_patterns(order // 2)):
+                monkeypatch.setattr(rates, "CHUNK", chunk)
+                signs = pattern.signs
+                for _, prefix, counts, last, _ in rates._chunks(
+                        omega_ba, pattern, bath, shape, [bath.n_modes]):
+                    sizes[min(last.size, 3)] += 1
+                    amp2, low = rates._amp2(prefix, counts, last, signs, tab, v_b)
+                    want, want_low = _amp2_per_tuple(prefix, counts, last, signs, tab,
+                                                     v_b)
+                    assert np.array_equal(amp2, want) and low == want_low
+                    assert np.array_equal(
+                        rates._bose_product(points.factors, prefix, counts, last, signs),
+                        _bose_per_tuple(points.factors, prefix, counts, last, signs))
+        # one-tuple chunks, whose n-term dots numpy sums pairwise, and longer ones
+        assert sizes[1] > 10 and sizes[3] > 10
