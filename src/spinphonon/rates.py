@@ -32,30 +32,35 @@ temperatures x tuples block, its rows summed into the chunk's group, added
 in chunk order, so results are bit-stable from run to run. The ``threads``
 argument of the public rate functions, an integer of at least 1, is ignored.
 
-Before its chunk loop, a rate call tabulates its source's amplitudes as
-one recursion over levels, each adding one mode and one denominator.
-Level 0 is the table (): the one-hot column of state a.
-For the signs s of an ascending mode set Q, level |Q| holds T_s[c; Q], the
-sum over m in Q, ascending, of sum_d V^m[c, d] T_s'[d; Q - m] (s' drops the
-sign of m), divided by D_c(Q) = E_c - E_a + sum_Q s_q w_q + i eta. Order
-2 k builds levels 0 to k - 1. Level k has a column per k-set of modes, in
-lexicographic order: each set of level k - 1 extended by every later mode,
-so a set's column is an offset, looked up at the column of its first k - 1
-modes, plus its last mode. Each entry carries the smallest |real
-denominator| of everything it contains. With M modes and n states, order 6
-keeps n + 2 M n + (2 M^2 - 2 M) n complex numbers (about 5.8 MB at M = 300,
-n = 2, 11.5 MB at n = 4) plus 2 M^2 reals of minima (1.4 MB at M = 300),
-shared read-only by all chunks. At every order, the amplitude of a k-tuple
-is the sum over its first mode p of V^p[b, :] dotted with the level-(k - 1)
-entry of the other modes: one gather and one n-term dot per first mode, no
-division. A chunk is evaluated per prefix run: what depends on the prefix
-alone (the entry of the prefix set that the last mode's couplings dot, with
-its minimum, the column base of each entry the prefix modes' couplings dot,
-those couplings and the prefix phonons' Bose factors) is gathered once per
-prefix and repeated over the run's length, which writes in order and reads
-no per-tuple index. Each tuple's products and sums take the same operands in
-the same order as when gathered tuple by tuple, so its value does not depend
-on the runs.
+Before its chunk loop, a rate call tabulates its source's amplitudes as one
+recursion over levels, each adding one mode and one denominator. Level 0 is
+the table (): the one-hot column of state a. For the signs s of an ascending
+mode set Q, level |Q| holds T_s[c; Q], the sum over m in Q, ascending, of
+sum_d V^m[c, d] T_s'[d; Q - m] (s' drops the sign of m), divided by D_c(Q) =
+E_c - E_a + sum_Q s_q w_q + i eta. Order 2 k builds levels 0 to k - 1. Level
+k has a column per k-set of modes, in lexicographic order: each set of level
+k - 1 extended by every later mode, so a set's column is an offset, looked
+up at the column of its first k - 1 modes, plus its last mode. Each entry
+carries the smallest |real denominator| of everything it contains, and each
+row of a level (the contiguous columns that extend one set of the level
+below) carries a floor, the smallest of its entries' minima. With M modes
+and n states, order 6 keeps n + 2 M n + (2 M^2 - 2 M) n complex numbers
+(about 5.8 MB at M = 300, n = 2, 11.5 MB at n = 4) plus 2 M^2 reals of
+minima (1.4 MB at M = 300) and 4 M + 2 floors, shared read-only by all
+chunks. At every order, the amplitude of a k-tuple is the sum over its first
+mode p of V^p[b, :] dotted with the level-(k - 1) entry of the other modes:
+one gather and one n-term dot per first mode, no division. A chunk is
+evaluated per prefix run: what depends on the prefix alone (the entry of the
+prefix set that the last mode's couplings dot, with its minimum, the column
+base of each entry the prefix modes' couplings dot, those couplings and the
+prefix phonons' Bose factors) is gathered once per prefix and repeated over
+the run's length, which writes in order and reads no per-tuple index. Each
+tuple's products and sums take the same operands in the same order as when
+gathered tuple by tuple, so its value does not depend on the runs. The
+smallest |real denominator| of a call is a running minimum over its chunks:
+a chunk gathers the minima of a prefix position's entries, one per tuple,
+only when the floor of one of their rows lies below it, so the minimum, and
+the warning that reports it, stay exact.
 
 The tables do not depend on b, so every transition out of a reads one set.
 A generator evaluates only the downward rate of each pair and sets the
@@ -189,10 +194,12 @@ def _bose_product(factors: dict[int, np.ndarray], prefix: tuple[np.ndarray, ...]
     """Temperatures x tuples: n + 1 per emitted, n per absorbed phonon, left to
     right; the prefix phonons' factors are multiplied once per prefix, then
     repeated over its run of ``counts`` tuples."""
-    product = np.ones((len(factors[EMIT]), 1))
-    for s, ix in zip(signs, prefix):
-        product = product * factors[s].take(ix, axis=1)
     out = factors[signs[-1]].take(last, axis=1)
+    if not prefix:
+        return out
+    product = factors[signs[0]].take(prefix[0], axis=1)
+    for s, ix in zip(signs[1:], prefix[1:]):
+        product *= factors[s].take(ix, axis=1)
     return np.multiply(out, product.repeat(counts, axis=1), out=out)
 
 
@@ -209,6 +216,17 @@ def _expand(start: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray, np.ndarray
     index = shift.repeat(counts)
     index += np.arange(index.size)
     return counts, index, shift
+
+
+def _reach(freqs: np.ndarray, mismatch: np.ndarray, s: int, low: float, high: float,
+           last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the index range [start, stop) of the modes after ``last``
+    whose s * w, added to ``mismatch``, lies in [low, high], by binary search
+    on the sorted frequencies."""
+    lo, hi = (low - mismatch, high - mismatch) if s == EMIT else (
+        mismatch - high, mismatch - low)
+    start = np.maximum(np.searchsorted(freqs, lo, side="left"), last + 1)
+    return start, np.searchsorted(freqs, hi, side="right")
 
 
 def _chunks(
@@ -229,29 +247,36 @@ def _chunks(
     + s1 w_j) + s2 w_k inside [-window * sigma, window * sigma] and last
     index in group g = [limits[g - 1], limits[g]) (from 0): the only place
     the window and the mode limits are cut. Each phonon but the last extends
-    every prefix, from the empty one, by every later index. The groups come
-    in order, each lexicographic and walked over only the prefixes whose
-    candidates reach into it; a chunk ends after the prefix at which the
-    group's running count of last-phonon candidates passes a multiple of
-    CHUNK, so it holds fewer than CHUNK + M candidates; empty ones are skipped.
+    every prefix, from the empty one, by every later index from which the
+    window can still be reached (a bound, so it drops no prefix whose last
+    phonon has a binary-search candidate). The groups come in order, each
+    lexicographic and walked over only the prefixes whose candidates reach
+    into it; a chunk ends after the prefix at which the group's running count
+    of last-phonon candidates passes a multiple of CHUNK, so it holds fewer
+    than CHUNK + M candidates; empty ones are skipped.
     """
-    m = bath.n_modes
     freqs = bath.frequencies
+    if not freqs.size:
+        return
     signs = pattern.signs
     half = shape.halfwidth
+    # a prefix phonon extends a prefix only by the modes from which the later
+    # phonons, each adding s w with w in [freqs[0], freqs[-1]], can still
+    # reach the window; the slack keeps every prefix whose last phonon's
+    # binary search finds a candidate, so the chunk cuts do not move
+    slack = 1e-9 * (abs(omega_ba) + len(signs) * freqs[-1] + half)
     prefix, last, mismatch = [], np.full(1, -1), np.full(1, omega_ba)
-    for s in signs[:-1]:
-        counts, last, _ = _expand(last + 1, m)
+    for k, s in enumerate(signs[:-1]):
+        rest = signs[k + 1:]
+        least = -half - slack - sum(r * freqs[-1 if r == EMIT else 0] for r in rest)
+        most = half + slack - sum(r * freqs[0 if r == EMIT else -1] for r in rest)
+        counts, last, _ = _expand(*_reach(freqs, mismatch, s, least, most, last))
         prefix = [ix.repeat(counts) for ix in prefix] + [last]
         mismatch = mismatch.repeat(counts) + s * freqs[last]
-    # the admissible s * w_last lies in [-half - mismatch, half - mismatch]
     s = signs[-1]
     # adding or subtracting w_last gives the bits of s * w_last added
     step = np.add if s == EMIT else np.subtract
-    lo, hi = (-half - mismatch, half - mismatch) if s == EMIT else (
-        mismatch - half, mismatch + half)
-    start = np.maximum(np.searchsorted(freqs, lo, side="left"), last + 1)
-    stop = np.searchsorted(freqs, hi, side="right")
+    start, stop = _reach(freqs, mismatch, s, -half, half, last)
     # a prefix with candidates reaches from the group of its first to that of
     # its last
     some = np.flatnonzero(stop > start)
@@ -320,6 +345,10 @@ class _Tables(NamedTuple):
     #: per level k >= 1, one offset per column of level k - 1: the set Q + (x),
     #: x after Q's last mode, sits at column offsets[k - 1][column of Q] + x
     offsets: list[np.ndarray]
+    #: keys but () -> per column R of the level below, the smallest of
+    #: ``mins`` over R's row, the contiguous columns of every R + (x); inf
+    #: for a row without columns
+    floors: dict[tuple[int, ...], np.ndarray]
 
 
 def _column(offsets: list[np.ndarray], modes: tuple[np.ndarray, ...],
@@ -342,7 +371,7 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
     flat gather from its raveled block, at an index precomputed per level."""
     m, n = v.shape[:2]
     tables, mins = {(): np.eye(n, dtype=complex)[:, [a]]}, {(): np.full(1, np.inf)}
-    modes, last, offsets = (), np.full(1, -1), []
+    modes, last, offsets, floors = (), np.full(1, -1), [], {}
     for level in range(1, order // 2):
         # the level's mode sets in lexicographic order, one array per position
         counts, last, shift = _expand(last + 1, m)
@@ -360,29 +389,46 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
         # the raveled M x width block inner_s' = V[:, c, :] @ T_s'
         width = tables[keys[0][1:]].shape[1]
         flat = [np.add(col, modes[i] * width, out=col) for i, col in enumerate(cols)]
-        total = np.empty(last.size, dtype=complex)
+        # each key's signed mode-frequency sum, added left to right once per
+        # level; negating every sign negates it to the bit (no frequency is
+        # 0), so a key that starts with ABSORB subtracts its negation's
+        sums = {key: sum(s * freqs[ix] for s, ix in zip(key, modes))
+                for key in keys if key[0] == EMIT}
+        shifts = {key: (np.add, sums[key]) if key[0] == EMIT else
+                  (np.subtract, sums[tuple(-s for s in key)]) for key in keys}
+        real, buf = np.empty(last.size), np.empty(last.size, dtype=complex)
         for c in range(n):
             inner = {k: (v[:, c, :] @ tables[k]).ravel()
                      for k in tables if len(k) == level - 1}
             for key in keys:
-                # sum the children's terms in order in one buffer, divide into
-                # the row: no peak temporaries; in range, "clip" skips an out copy
-                inner[key[1:]].take(flat[0], out=total, mode="clip")
+                # sum the children's terms in order in the state's row and
+                # divide it in place, through the level's two buffers: no
+                # temporaries; in range, "clip" skips an out copy
+                row = tables[key][c]
+                inner[key[1:]].take(flat[0], out=row, mode="clip")
                 for i in range(1, level):
-                    total += inner[key[:i] + key[i + 1:]].take(flat[i])
-                real = d_e[c] + sum(s * freqs[ix] for s, ix in zip(key, modes))
-                np.divide(total, real + 1j * eta, out=tables[key][c])
-                np.minimum(mins[key], np.abs(real), out=mins[key])
+                    row += inner[key[:i] + key[i + 1:]].take(flat[i], out=buf,
+                                                              mode="clip")
+                step, shift = shifts[key]
+                step(d_e[c], shift, out=real)
+                row /= np.add(real, 1j * eta, out=buf)
+                np.minimum(mins[key], np.abs(real, out=real), out=mins[key])
             # free this state's blocks before the next state's are formed
             del inner
-    return _Tables(tables, mins, offsets)
+        # a row's columns start where the rows before it end
+        rows = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[rows]
+        for key in keys:
+            floors[key] = np.full(counts.size, np.inf)
+            floors[key][rows] = np.minimum.reduceat(mins[key], starts)
+    return _Tables(tables, mins, offsets, floors)
 
 
 def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
-          signs: tuple[int, ...], tab: _Tables,
-          v_b: np.ndarray) -> tuple[np.ndarray, float]:
-    """|A|^2 of a chunk's tuples, and the smallest |real denominator| of
-    their table entries.
+          signs: tuple[int, ...], tab: _Tables, v_b: np.ndarray,
+          low: float) -> tuple[np.ndarray, float]:
+    """|A|^2 of a chunk's tuples, and the running minimum ``low`` lowered to
+    the smallest |real denominator| of their table entries.
 
     Each first mode q takes V[q, b, :] of the destination b, the column
     v_b[:, q], dotted with the table entry of the other modes, which sums
@@ -390,23 +436,40 @@ def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
     prefix modes, a prefix mode's couplings, and the last position's entries
     and minima are gathered once per prefix and repeated over its run of
     ``counts`` tuples; every prefix has a tuple, so its minimum is theirs.
+    A prefix position's entries lie in the rows of their column bases, so
+    their minima are gathered only where a row's floor is below ``low``.
+    Each n-term dot is summed row by row, as ``sum(axis=0)`` sums a block
+    of several tuples; a one-tuple block, which numpy sums pairwise, keeps
+    ``sum(axis=0)``.
     """
-    min_abs, level = np.inf, len(prefix)
+    level = len(prefix)
     for p in range(level + 1):
         key = signs[:p] + signs[p + 1:]
         col = _column(tab.offsets, prefix[:p] + prefix[p + 1:], counts.size)
         if p < level:
+            lowers = tab.floors[key].take(col).min() < low
             col = tab.offsets[level - 1].take(col).repeat(counts)
             col += last
             terms = v_b.take(prefix[p], axis=1).repeat(counts, axis=1)
             terms *= tab.tables[key].take(col, axis=1)
         else:
+            lowers = True
             terms = v_b.take(last, axis=1)
             terms *= tab.tables[key].take(col, axis=1).repeat(counts, axis=1)
-        min_abs = min(min_abs, float(tab.mins[key].take(col).min()))
-        dot = terms.sum(axis=0)
+        if lowers:
+            low = min(low, float(tab.mins[key].take(col).min()))
+        if last.size > 1:
+            # rows added in order into the block's first row; the first
+            # position's dot becomes the amplitude, so it takes its own array
+            dot = np.add(terms[0], terms[1], out=terms[0] if p else None)
+            for row in terms[2:]:
+                dot += row
+        else:
+            dot = terms.sum(axis=0)
         amp = np.add(amp, dot, out=amp) if p else dot
-    return amp.real**2 + amp.imag**2, min_abs
+        # free the position's block before the next one's is formed
+        del terms, dot
+    return amp.real**2 + amp.imag**2, low
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +578,15 @@ def _rates(
         total = np.zeros((len(points.limits), len(points.factors[EMIT])))
         for g, prefix, counts, last, mismatch in _chunks(omega_ba, pattern, bath, shape,
                                                          points.limits):
-            amp2, low = _amp2(prefix, counts, last, signs, tables, v_b)
-            min_abs = min(min_abs, low)
+            amp2, min_abs = _amp2(prefix, counts, last, signs, tables, v_b, min_abs)
             # an overflowing Bose factor leaves a non-finite rate for _breakdown
             with np.errstate(over="ignore", invalid="ignore"):
                 bose = _bose_product(points.factors, prefix, counts, last, signs)
                 bose *= _weights(mismatch, shape)
                 bose *= amp2
             total[g] += bose.sum(axis=1)
+            # free the chunk's blocks before the next chunk's are formed
+            del bose, amp2
         sums[pattern] = np.cumsum(total, axis=0).ravel().tolist()
     if min_abs < shape.eta / 10.0:
         warnings.warn(

@@ -313,6 +313,51 @@ class TestPruneTriples:
         assert counts.tolist() == [2] and last.tolist() == [1, 2]
         assert np.all(counts >= 1) and counts.sum() == last.size
 
+    def test_prefix_reach_bound_leaves_the_chunk_stream_unchanged(self, monkeypatch):
+        """Prefix levels expand only over the modes from which the window can
+        still be reached. The chunk cuts count binary-search candidates, so
+        no prefix with one may be dropped: the stream equals the one from
+        expanding every prefix by every later mode. omega_ba puts a tuple,
+        mostly one that ends at the highest mode, on the window's edge or an
+        ulp off it, where the bound of a later phonon is tight."""
+        from spinphonon import rates
+
+        rng = np.random.default_rng(1)
+        reach = rates._reach
+        streams = 0
+        for trial in range(600):
+            m = int(rng.integers(3, 9))
+            freqs = np.sort(rng.uniform(5.0, 300.0, m) * rng.choice([1.0, 1e-3, 7.1]))
+            if trial % 3 == 0:
+                freqs[1] = freqs[0]
+            shape = Lineshape(sigma=float(rng.uniform(0.1, 20.0)))
+            half = shape.halfwidth
+            k = int(rng.choice([2, 3]))
+            pattern = sign_patterns(k)[rng.integers(2**k)]
+            modes = sorted(rng.choice(m - 1, k - 1, replace=False).tolist()) + [m - 1]
+            edge = float(rng.choice([-half, half]))
+            omega_ba = edge - sum(s * freqs[q] for s, q in zip(pattern.signs, modes))
+            omega_ba = float(np.nextafter(omega_ba, rng.choice([-np.inf, 0.0, np.inf])))
+
+            def everything(freqs, mismatch, s, low, high, last):
+                if (low, high) == (-half, half):
+                    return reach(freqs, mismatch, s, low, high, last)
+                return last + 1, np.full(last.size, freqs.size)
+
+            args = omega_ba, pattern, PhononBath(freqs), shape, [m // 2, m]
+            monkeypatch.setattr(rates, "CHUNK", (1, 5, 4096)[trial % 3])
+            got = list(rates._chunks(*args))
+            monkeypatch.setattr(rates, "_reach", everything)
+            want = list(rates._chunks(*args))
+            monkeypatch.setattr(rates, "_reach", reach)
+            assert len(got) == len(want), (trial, freqs.tolist(), shape.sigma, omega_ba)
+            for x, y in zip(got, want):
+                assert x[0] == y[0] and len(x[1]) == len(y[1])
+                assert all(np.array_equal(p, q) for p, q in zip(x[1], y[1]))
+                assert all(np.array_equal(p, q) for p, q in zip(x[2:], y[2:]))
+            streams += bool(got)
+        assert streams > 300
+
     def test_returns_int32_rows(self):
         bath = PhononBath([10.0, 20.0, 30.0, 40.0])
         for sigma in (50.0, 1e-9):
@@ -825,7 +870,9 @@ def _bose_per_tuple(factors, prefix, counts, last, signs):
 
 class TestRunKernel:
     """The kernel repeats what is constant over a prefix run; each tuple's
-    value is the one a tuple-by-tuple evaluation gives, to the bit."""
+    value is the one a tuple-by-tuple evaluation gives, to the bit, and the
+    running minimum it returns is the smaller of the one it was given and
+    the chunk's per-tuple minimum."""
 
     @pytest.mark.parametrize("n_states", [2, 4])
     def test_run_kernel_equals_a_per_tuple_evaluation_bit_for_bit(self, monkeypatch,
@@ -847,6 +894,8 @@ class TestRunKernel:
             before = [x.copy() for x in args]
             tab = rates._source_tables(order, a, *args, shape.eta)
             assert all(np.array_equal(x, y) for x, y in zip(args, before))
+            # one ulp below every entry: no row floor lies below it
+            below = np.nextafter(min(float(x.min()) for x in tab.mins.values()), 0.0)
             v_b = np.ascontiguousarray(couplings.matrices[:, b, :].T)
             omega_ba = system.transition_frequency(b, a)
             for chunk, pattern in itertools.product((1, 5, 4096),
@@ -856,12 +905,133 @@ class TestRunKernel:
                 for _, prefix, counts, last, _ in rates._chunks(
                         omega_ba, pattern, bath, shape, [bath.n_modes]):
                     sizes[min(last.size, 3)] += 1
-                    amp2, low = rates._amp2(prefix, counts, last, signs, tab, v_b)
                     want, want_low = _amp2_per_tuple(prefix, counts, last, signs, tab,
                                                      v_b)
-                    assert np.array_equal(amp2, want) and low == want_low
+                    for start in (np.inf, below, want_low):
+                        amp2, low = rates._amp2(prefix, counts, last, signs, tab, v_b,
+                                                start)
+                        assert np.array_equal(amp2, want) and low == min(start, want_low)
                     assert np.array_equal(
                         rates._bose_product(points.factors, prefix, counts, last, signs),
                         _bose_per_tuple(points.factors, prefix, counts, last, signs))
         # one-tuple chunks, whose n-term dots numpy sums pairwise, and longer ones
         assert sizes[1] > 10 and sizes[3] > 10
+
+
+def _denominator_floor(model, b, a, order, shape):
+    """Smallest |real denominator| of a rate of b <- a, by plain loops: over
+    every channel, every strictly ordered tuple inside the window (its
+    mismatch folded left to right), every ordering of the tuple's phonons,
+    every intermediate step and every intermediate state c, the real part
+    E_c - E_a plus the signed frequencies of the phonons applied so far,
+    added in ascending mode order."""
+    energies, freqs = model.system.energies.tolist(), model.bath.frequencies.tolist()
+    omega_ba = model.system.transition_frequency(b, a)
+    k = order // 2
+    low = math.inf
+    for pattern in sign_patterns(k):
+        for modes in itertools.combinations(range(len(freqs)), k):
+            d = omega_ba
+            for s, q in zip(pattern.signs, modes):
+                d += s * freqs[q]
+            if abs(d) > shape.halfwidth:
+                continue
+            for ordering in itertools.permutations(range(k)):
+                for step in range(1, k):
+                    shift = 0
+                    for i in sorted(ordering[:step]):
+                        shift += pattern.signs[i] * freqs[modes[i]]
+                    for e_c in energies:
+                        low = min(low, abs((e_c - energies[a]) + shift))
+    return low
+
+
+class TestRunningMinimum:
+    """Each table keeps one floor per row, the smallest minimum over the
+    columns that extend one set of the level below; the kernel gathers a
+    prefix position's per-tuple minima only where a floor lies below its
+    running minimum, so the reported minimum stays exact."""
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_each_floor_is_the_minimum_of_its_row(self, order):
+        from spinphonon import rates
+
+        model = generate_model(ModelSpec(seed=61, n_states=3, n_modes=9, gap=5.0,
+                                         excited_offset=30.0))
+        m = model.bath.n_modes
+        tab = rates._source_tables(order, 1,
+                                   model.system.energies - model.system.energies[1],
+                                   model.bath.frequencies, model.couplings.matrices, 1.0)
+        assert sorted(tab.floors) == sorted(key for key in tab.mins if key)
+        for key, floors in tab.floors.items():
+            sets = itertools.combinations(range(m), len(key))
+            column = {q: i for i, q in enumerate(sets)}
+            want = [min((tab.mins[key][column[row + (x,)]]
+                         for x in range(row[-1] + 1 if row else 0, m)), default=math.inf)
+                    for row in itertools.combinations(range(m), len(key) - 1)]
+            assert floors.tolist() == want
+        if order == 6:
+            # the last mode extends to no pair
+            assert all(floors[-1] == math.inf and np.isfinite(floors[:-1]).all()
+                       for key, floors in tab.floors.items() if len(key) == 2)
+
+    def test_smallest_entry_read_only_by_the_last_chunk(self, monkeypatch):
+        """Modes 10 and 11 lie 1e-9 cm^-1 apart, so the pair entry of mixed
+        signs has |Re D| of about 1e-9 at c = a. Of the tuples holding both,
+        only (9, 10, 11) lies inside the window, in the channel (-, +, -),
+        where the pair is the entry of a prefix position (not the last one)
+        and the tuple comes last: the minimum is found in the last chunk, by
+        a row floor below the running minimum."""
+        from spinphonon import NearResonantDenominatorWarning, rates
+
+        rng = np.random.default_rng(8)
+        freqs = np.concatenate([np.sort(rng.uniform(20.0, 40.0, 9)),
+                                [48.0, 100.0, 100.0 + 1e-9]])
+        model = Model(SpinSystem([0.0, 50.0]), PhononBath(freqs),
+                      CouplingSet(hermitian(rng, freqs.size, 2)))
+        shape = Lineshape(sigma=1.0, window=6.0)
+        b, a = 1, 0
+        tab = rates._source_tables(6, a, model.system.energies - model.system.energies[a],
+                                   freqs,
+                                   model.couplings.matrices, shape.eta)
+        v_b = np.ascontiguousarray(model.couplings.matrices[:, b, :].T)
+        smallest = min(float(x.min()) for x in tab.mins.values())
+        assert abs(smallest - 1e-9) < 1e-14
+        for chunk in (1, 5, 4096):
+            monkeypatch.setattr(rates, "CHUNK", chunk)
+            low = math.inf
+            for pattern in sign_patterns(3):
+                lows = []
+                for _, prefix, counts, last, _ in rates._chunks(
+                        model.system.transition_frequency(b, a), pattern, model.bath,
+                        shape, [freqs.size]):
+                    lows.append(_amp2_per_tuple(prefix, counts, last, pattern.signs,
+                                                tab, v_b)[1])
+                    _, low = rates._amp2(prefix, counts, last, pattern.signs, tab, v_b,
+                                         low)
+                    assert low == min(lows + [low])
+                if pattern.signs == (ABSORB, EMIT, ABSORB):
+                    assert lows[-1] == smallest
+                    assert chunk == 4096 or (len(lows) > 1 and min(lows[:-1]) > 0.1)
+            assert low == smallest
+            with pytest.warns(NearResonantDenominatorWarning) as record:
+                rate_three_phonon(b, a, *model, 300.0, shape)
+            assert len(record) == 1
+            assert str(record[0].message).endswith(f"(|x| = {smallest:.3e} cm^-1)")
+
+    @pytest.mark.parametrize("order", [4, 6])
+    @pytest.mark.parametrize("seed", [70, 71])
+    def test_warning_names_the_plain_loop_minimum(self, seed, order):
+        from spinphonon import NearResonantDenominatorWarning
+
+        model = generate_model(ModelSpec(seed=seed, n_states=3, n_modes=12, gap=5.0,
+                                         excited_offset=30.0))
+        # eta / 10 above every denominator of these models: every call warns
+        shape = Lineshape(eta=200.0)
+        for b, a in itertools.permutations(range(3), 2):
+            want = _denominator_floor(model, b, a, order, shape)
+            assert want < 20.0
+            with pytest.warns(NearResonantDenominatorWarning) as record:
+                rate_at_order(order, b, a, *model, 300.0, shape)
+            assert len(record) == 1
+            assert str(record[0].message).endswith(f"(|x| = {want:.3e} cm^-1)")
