@@ -24,20 +24,34 @@ chunk comes as runs of tuples that share a prefix (all phonons but the
 last), each prefix given once with its run's length and the run's last
 indices; every index array is intp, so no gather converts its index.
 
+A channel s and its mirror -s (mismatches omega_ba + S and omega_ba - S)
+keep almost the same tuples when |omega_ba| is small against the window:
+98 % of them in a Zeeman-split doublet. So a transition with |omega_ba| <=
+MIRROR * window * sigma is pruned one pair (s, -s) at a time over the union
+of the two windows, in chunks of 2 CHUNK candidates. The pair shares runs,
+last indices, table columns and couplings; each numpy call serves both
+channels through a channel axis of 2. A tuple counts for a channel exactly
+when its own left-fold mismatch lies inside the window (its weight is 0
+elsewhere). Any other transition runs the same code with an axis of 1.
+
 One call evaluates a channel at one point or at many: several
 temperatures, several mode limits (phonon cutoffs) at one temperature, or
 several coupling scales. Each chunk is evaluated vectorized on the calling
 thread; its |A|^2 is computed once and reduced against every point: one
-temperatures x tuples block, its rows summed into the chunk's group, added
-in chunk order, so results are bit-stable from run to run. The ``threads``
-argument of the public rate functions, an integer of at least 1, is ignored.
+channels x temperatures x tuples block, its rows summed into the chunk's
+group, added in chunk order, so results are bit-stable from run to run.
+Every per-tuple block is a view of one workspace per call (``_Work``);
+only a lone channel's ``repeat`` expansions allocate blocks per chunk. The
+``threads`` argument of the public rate functions, an integer of at least
+1, is ignored.
 
 Before its chunk loop, a rate call tabulates its source's amplitudes as one
 recursion over levels, each adding one mode and one denominator. Level 0 is
 the table (): the one-hot column of state a. For the signs s of an ascending
 mode set Q, level |Q| holds T_s[c; Q], the sum over m in Q, ascending, of
 sum_d V^m[c, d] T_s'[d; Q - m] (s' drops the sign of m), divided by D_c(Q) =
-E_c - E_a + sum_Q s_q w_q + i eta. Order 2 k builds levels 0 to k - 1. Level
+E_c - E_a + sum_Q s_q w_q + i eta. Order 2 k builds levels 0 to k - 1,
+each key stored with its negation (``_Tables.pairs``). Level
 k has a column per k-set of modes, in lexicographic order: each set of level
 k - 1 extended by every later mode, so a set's column is an offset, looked
 up at the column of its first k - 1 modes, plus its last mode. Each entry
@@ -53,8 +67,8 @@ one gather and one n-term dot per first mode, no division. A chunk is
 evaluated per prefix run: what depends on the prefix alone (the entry of the
 prefix set that the last mode's couplings dot, with its minimum, the column
 base of each entry the prefix modes' couplings dot, those couplings and the
-prefix phonons' Bose factors) is gathered once per prefix and repeated over
-the run's length, which writes in order and reads no per-tuple index. Each
+prefix phonons' Bose factors) is gathered once per prefix and spread over
+the run (``_spread``). Each
 tuple's products and sums take the same operands in the same order as when
 gathered tuple by tuple, so its value does not depend on the runs. The
 smallest |real denominator| of a call is a running minimum over its chunks:
@@ -106,6 +120,12 @@ from .core import (
 #: candidates. The chunk boundaries fix the summation order, so the printed
 #: digits depend on this value.
 CHUNK = 4096
+
+#: A transition's channels s and -s are pruned and evaluated in one pass
+#: when |omega_ba| <= MIRROR * window * sigma. Their windows lie 2 |omega_ba|
+#: apart, so they then overlap by at least three quarters of one; one pass
+#: was measured faster than two up to about 0.35 (module docstring).
+MIRROR = 0.25
 
 _TWO_PI = 2.0 * np.pi
 
@@ -174,33 +194,48 @@ def _occupations(frequencies: np.ndarray, temperature: float) -> np.ndarray:
     return out
 
 
-def _weights(d: np.ndarray, shape: Lineshape) -> np.ndarray:
-    """Vectorized lineshape weight at mismatches the pruner kept, all inside
-    the window, so no cut is made here."""
+def _weights(d: np.ndarray, shape: Lineshape, out: np.ndarray) -> np.ndarray:
+    """Vectorized lineshape weight, written to ``out``, at mismatches the
+    pruner kept: inside the window, so no cut is made here, or +inf, whose
+    weight is exactly 0."""
     s = shape.sigma
     if shape.kind == "gaussian":
-        x = d / s
+        x = np.divide(d, s, out=out)
         x *= x
         x *= -0.5
         return np.divide(np.exp(x, out=x), s * np.sqrt(2.0 * np.pi), out=x)
-    x = d * d
+    x = np.multiply(d, d, out=out)
     x += s * s
     return np.divide(s / np.pi, x, out=x)
 
 
+def _spread(runs: np.ndarray, counts: np.ndarray, spans: np.ndarray | None,
+            out: np.ndarray | None) -> np.ndarray:
+    """A block with one column per prefix run, written out over each run's
+    ``counts`` tuples: as a new block by ``repeat`` when ``spans`` is None,
+    else into ``out`` through ``spans``, the run of each tuple."""
+    if spans is None:
+        return runs.repeat(counts, axis=-1)
+    return runs.take(spans, axis=-1, out=out, mode="wrap")
+
+
 def _bose_product(factors: dict[int, np.ndarray], prefix: tuple[np.ndarray, ...],
-                  counts: np.ndarray, last: np.ndarray,
-                  signs: tuple[int, ...]) -> np.ndarray:
-    """Temperatures x tuples: n + 1 per emitted, n per absorbed phonon, left to
-    right; the prefix phonons' factors are multiplied once per prefix, then
-    repeated over its run of ``counts`` tuples."""
-    out = factors[signs[-1]].take(last, axis=1)
-    if not prefix:
-        return out
-    product = factors[signs[0]].take(prefix[0], axis=1)
-    for s, ix in zip(signs[1:], prefix[1:]):
-        product *= factors[s].take(ix, axis=1)
-    return np.multiply(out, product.repeat(counts, axis=1), out=out)
+                  counts: np.ndarray, last: np.ndarray, signs: tuple[int, ...],
+                  out: np.ndarray, spans: np.ndarray | None,
+                  spare: np.ndarray) -> np.ndarray:
+    """Channels x temperatures x tuples, written to ``out``: n + 1 per
+    emitted, n per absorbed phonon, left to right. ``factors`` maps the first
+    channel's sign (``signs``) to a channels x temperatures x M table whose
+    row c holds the factors of channel c's sign. The prefix phonons' factors
+    are multiplied once per prefix, then spread over its run (``_spread``,
+    into ``spare``)."""
+    factors[signs[-1]].take(last, axis=2, out=out, mode="wrap")
+    if prefix:
+        product = factors[signs[0]].take(prefix[0], axis=2)
+        for s, ix in zip(signs[1:], prefix[1:]):
+            product *= factors[s].take(ix, axis=2)
+        np.multiply(out, _spread(product, counts, spans, spare), out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +270,14 @@ def _chunks(
     bath: PhononBath,
     shape: Lineshape,
     limits: Sequence[int],
+    mirror: bool = False,
 ) -> Iterator[tuple[int, tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]]:
-    """Surviving tuples of one channel, a chunk at a time, as runs that share
-    a prefix (all phonons but the last): the chunk's group, one index array
-    per prefix phonon with one entry per run, each run's length (``counts``,
-    at least 1, summing to the number of tuples), each tuple's last index
-    (run after run, ascending within each) and the tuples' mismatches. All
-    index arrays are intp.
+    """Surviving tuples of one channel, or with ``mirror`` of the channel and
+    its mirror, a chunk at a time, as runs that share a prefix (all phonons
+    but the last): the chunk's group, one index array per prefix phonon with
+    one entry per run, each run's length (``counts``, at least 1, summing to
+    the number of tuples), each tuple's last index (run after run, ascending
+    within each) and the tuples' mismatches. All index arrays are intp.
 
     The tuples are strictly index-ordered, with mismatch ((omega_ba + s0 w_i)
     + s1 w_j) + s2 w_k inside [-window * sigma, window * sigma] and last
@@ -252,8 +288,16 @@ def _chunks(
     phonon has a binary-search candidate). The groups come in order, each
     lexicographic and walked over only the prefixes whose candidates reach
     into it; a chunk ends after the prefix at which the group's running count
-    of last-phonon candidates passes a multiple of CHUNK, so it holds fewer
-    than CHUNK + M candidates; empty ones are skipped.
+    of last-phonon candidates passes a multiple of CHUNK, or of 2 CHUNK for
+    a pass with the mirror, so it holds fewer than that plus M candidates;
+    empty ones are skipped.
+
+    With ``mirror``, one pass serves the channel s of ``pattern`` and -s: it
+    keeps the tuples inside either window, and the mismatches come as a
+    2 x tuples array, row 0 folded with s and row 1 with -s, each row +inf
+    where its channel's mismatch lies outside the window. The binary
+    searches cover the union of the two windows, widened by a slack, so the
+    exact filter alone decides which tuples each channel keeps.
     """
     freqs = bath.frequencies
     if not freqs.size:
@@ -265,41 +309,63 @@ def _chunks(
     # reach the window; the slack keeps every prefix whose last phonon's
     # binary search finds a candidate, so the chunk cuts do not move
     slack = 1e-9 * (abs(omega_ba) + len(signs) * freqs[-1] + half)
-    prefix, last, mismatch = [], np.full(1, -1), np.full(1, omega_ba)
+    # the window of row 0's mismatch; -s's mismatch, folded in row 1, is about
+    # 2 omega_ba minus row 0's, so the mirror's window is row 0's moved by
+    # 2 omega_ba
+    bottom, top = -half, half
+    if mirror:
+        bottom += min(0.0, 2.0 * omega_ba) - slack
+        top += max(0.0, 2.0 * omega_ba) + slack
+    # the mismatch folded with s, and with -s for the mirror: the channels'
+    # signs are s scaled by each of ``rows``
+    rows = (EMIT, ABSORB) if mirror else (EMIT,)
+    prefix, last, folds = [], np.full(1, -1), [np.full(1, omega_ba)] * len(rows)
     for k, s in enumerate(signs[:-1]):
         rest = signs[k + 1:]
-        least = -half - slack - sum(r * freqs[-1 if r == EMIT else 0] for r in rest)
-        most = half + slack - sum(r * freqs[0 if r == EMIT else -1] for r in rest)
-        counts, last, _ = _expand(*_reach(freqs, mismatch, s, least, most, last))
+        least = bottom - slack - sum(r * freqs[-1 if r == EMIT else 0] for r in rest)
+        most = top + slack - sum(r * freqs[0 if r == EMIT else -1] for r in rest)
+        counts, last, _ = _expand(*_reach(freqs, folds[0], s, least, most, last))
         prefix = [ix.repeat(counts) for ix in prefix] + [last]
-        mismatch = mismatch.repeat(counts) + s * freqs[last]
+        folds = [fold.repeat(counts) + r * s * freqs[last]
+                 for fold, r in zip(folds, rows)]
     s = signs[-1]
     # adding or subtracting w_last gives the bits of s * w_last added
-    step = np.add if s == EMIT else np.subtract
-    start, stop = _reach(freqs, mismatch, s, -half, half, last)
-    # a prefix with candidates reaches from the group of its first to that of
-    # its last
+    steps = [np.add if r * s == EMIT else np.subtract for r in rows]
+    start, stop = _reach(freqs, folds[0], s, bottom, top, last)
+    # only the prefixes with candidates go on: often a minority of them
     some = np.flatnonzero(stop > start)
-    g_first = np.searchsorted(limits, start[some], side="right")
-    g_last = np.searchsorted(limits, stop[some] - 1, side="right")
+    prefix, folds = [ix[some] for ix in prefix], [fold[some] for fold in folds]
+    start, stop = start[some], stop[some]
+    del some
+    # a prefix reaches from the group of its first candidate to that of its
+    # last
+    g_first = np.searchsorted(limits, start, side="right")
+    g_last = np.searchsorted(limits, stop - 1, side="right")
     for group, (low, high) in enumerate(zip([0, *limits[:-1]], limits)):
-        own = some[(g_first <= group) & (g_last >= group)]
+        own = np.flatnonzero((g_first <= group) & (g_last >= group))
         first, end = np.maximum(start[own], low), np.minimum(stop[own], high)
         live = np.flatnonzero(end > first)
-        cuts = np.flatnonzero(np.diff(np.cumsum(end[live] - first[live]) // CHUNK,
-                                      prepend=0)) + 1
+        cuts = np.flatnonzero(np.diff(np.cumsum(end[live] - first[live]) // (
+            CHUNK * len(rows)), prepend=0)) + 1
         for part in np.split(live, cuts):
             counts, ix, _ = _expand(first[part], end[part])
             part = own[part]
-            d = step(mismatch[part].repeat(counts), freqs[ix])
-            keep = np.abs(d) <= half
+            w = freqs[ix]
+            d = np.empty((len(rows), ix.size))
+            for fold, step, row in zip(folds, steps, d):
+                step(fold[part].repeat(counts), w, out=row)
+            inside = np.abs(d) <= half
+            keep = inside[0] | inside[1] if mirror else inside[0]
+            if mirror:
+                d[~inside] = np.inf
             if not keep.all():
-                ix, d = ix[keep], d[keep]
+                ix, d = ix[keep], d[:, keep]
                 counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.intp)
                 # the prefixes that kept no candidate leave the chunk
                 part, counts = part[counts > 0], counts[counts > 0]
             if ix.size:
-                yield group, tuple(prev[part] for prev in prefix), counts, ix, d
+                yield (group, tuple(prev[part] for prev in prefix), counts, ix,
+                       d if mirror else d[0])
 
 
 def prune_triples(
@@ -349,6 +415,38 @@ class _Tables(NamedTuple):
     #: ``mins`` over R's row, the contiguous columns of every R + (x); inf
     #: for a row without columns
     floors: dict[tuple[int, ...], np.ndarray]
+    #: () and each key that starts with EMIT -> 2 x n x C(M, |Q|), its table
+    #: and its negation's (both () for ()), whose rows ``tables`` views, so
+    #: one gather serves a channel and its mirror
+    pairs: dict[tuple[int, ...], np.ndarray]
+
+
+#: rows of an M x width product formed at a time in ``_source_tables``
+_ROWS = 64
+
+
+def _negated(key: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-s for s in key)
+
+
+def _apply(v_c: np.ndarray, pair: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """The M x 2 x width block, raveled, whose [q, j] row is sum_d v_c[q, d]
+    pair[j, d]: V^q[c, :] applied to both tables of a pair. Formed as n
+    multiply-adds over the states, up to _ROWS rows at a time through
+    ``spare``, so numpy alone does it and no BLAS thread is started."""
+    m, n = v_c.shape
+    block = np.empty((m,) + pair.shape[::2], dtype=complex)
+    row = pair[:, 0].size or 1
+    rows = max(1, min(_ROWS, spare.size // row))
+    if rows * row > spare.size:
+        spare = np.empty(row, dtype=complex)
+    for q in range(0, m, rows):
+        out = block[q:q + rows]
+        term = spare[:out.size].reshape(out.shape)
+        np.multiply(v_c[q:q + rows, 0, None, None], pair[:, 0], out=out)
+        for d in range(1, n):
+            out += np.multiply(v_c[q:q + rows, d, None, None], pair[:, d], out=term)
+    return block.ravel()
 
 
 def _column(offsets: list[np.ndarray], modes: tuple[np.ndarray, ...],
@@ -367,10 +465,13 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
                    v: np.ndarray, eta: float) -> _Tables:
     """The tables of every transition out of a, levels 0 to order / 2 - 1,
     sized in the module docstring. Each level is built one state c at a
-    time, beside a few M x M blocks of scratch: each child's terms are one
-    flat gather from its raveled block, at an index precomputed per level."""
+    time, beside one M x 2 x width block of scratch per pair of the level
+    below (``_apply``): each child's terms are one flat gather from its
+    raveled block, at an index precomputed per level."""
     m, n = v.shape[:2]
-    tables, mins = {(): np.eye(n, dtype=complex)[:, [a]]}, {(): np.full(1, np.inf)}
+    unit = np.zeros((2, n, 1), dtype=complex)
+    unit[:, a] = 1.0
+    tables, mins, pairs = {(): unit[0]}, {(): np.full(1, np.inf)}, {(): unit}
     modes, last, offsets, floors = (), np.full(1, -1), [], {}
     for level in range(1, order // 2):
         # the level's mode sets in lexicographic order, one array per position
@@ -380,26 +481,33 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
         # child i of a set drops its i-th mode, and of a key its i-th sign
         cols = [_column(offsets, modes[:i] + modes[i + 1:], last.size) for i in range(level)]
         keys = list(itertools.product((EMIT, ABSORB), repeat=level))
+        for key in keys[:len(keys) // 2]:
+            pairs[key] = np.empty((2, n, last.size), dtype=complex)
+            tables[key], tables[_negated(key)] = pairs[key]
         for key in keys:
-            tables[key] = np.empty((n, last.size), dtype=complex)
             mins[key] = np.full(last.size, np.inf)
             for i, col in enumerate(cols):
                 np.minimum(mins[key], mins[key[:i] + key[i + 1:]][col], out=mins[key])
         # child i's term sits at flat[i] (formed in place from its column) of
-        # the raveled M x width block inner_s' = V[:, c, :] @ T_s'
+        # its table's part of the raveled M x 2 x width block of its pair,
+        # which starts at 0, or at width for the pair's negation
         width = tables[keys[0][1:]].shape[1]
-        flat = [np.add(col, modes[i] * width, out=col) for i, col in enumerate(cols)]
+        flat = [np.add(col, modes[i] * (2 * width), out=col)
+                for i, col in enumerate(cols)]
         # each key's signed mode-frequency sum, added left to right once per
         # level; negating every sign negates it to the bit (no frequency is
         # 0), so a key that starts with ABSORB subtracts its negation's
         sums = {key: sum(s * freqs[ix] for s, ix in zip(key, modes))
                 for key in keys if key[0] == EMIT}
         shifts = {key: (np.add, sums[key]) if key[0] == EMIT else
-                  (np.subtract, sums[tuple(-s for s in key)]) for key in keys}
+                  (np.subtract, sums[_negated(key)]) for key in keys}
         real, buf = np.empty(last.size), np.empty(last.size, dtype=complex)
         for c in range(n):
-            inner = {k: (v[:, c, :] @ tables[k]).ravel()
-                     for k in tables if len(k) == level - 1}
+            inner = {}
+            for k, pair in pairs.items():
+                if len(k) == level - 1:
+                    block = _apply(v[:, c, :], pair, buf)
+                    inner[_negated(k)], inner[k] = block[width:], block
             for key in keys:
                 # sum the children's terms in order in the state's row and
                 # divide it in place, through the level's two buffers: no
@@ -414,62 +522,143 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
                 row /= np.add(real, 1j * eta, out=buf)
                 np.minimum(mins[key], np.abs(real, out=real), out=mins[key])
             # free this state's blocks before the next state's are formed
-            del inner
+            del inner, block
         # a row's columns start where the rows before it end
         rows = np.flatnonzero(counts)
         starts = (np.cumsum(counts) - counts)[rows]
         for key in keys:
             floors[key] = np.full(counts.size, np.inf)
             floors[key][rows] = np.minimum.reduceat(mins[key], starts)
-    return _Tables(tables, mins, offsets, floors)
+    return _Tables(tables, mins, offsets, floors, pairs)
+
+
+class _Work:
+    """Scratch of one rate call over k channels per pass (1, or 2 with the
+    mirror) and n states, for chunks of up to ``size`` tuples: every
+    per-tuple block of a chunk is a contiguous view of it (``_carve``), so
+    the chunk loop allocates no such block. Per tuple it holds one index,
+    2 k floats (|A|^2 and the lineshape) and (k + 1) n + k complex numbers:
+    the couplings, terms and amplitudes of ``_amp2``, whose floats then hold
+    the Bose blocks of up to ``rows`` temperatures at a time."""
+
+    def __init__(self, k: int, n: int, size: int):
+        self.index = np.empty(size, dtype=np.intp)
+        self.floats = np.empty(2 * k * size)
+        self.complex = np.empty(((k + 1) * n + k) * size, dtype=complex)
+        # the complex numbers' floats hold a Bose block and its spare, each of
+        # k rows per temperature
+        self.rows = ((k + 1) * n + k) // k
+
+
+def _carve(buffer: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive contiguous views of ``buffer``, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+class _Place(NamedTuple):
+    """What one position of a pass reads from a source's tables: the same
+    for every chunk of the pass."""
+
+    #: each channel's key: the pass's signs without the position's, then,
+    #: with the mirror, their negation
+    keys: list[tuple[int, ...]]
+    #: channels x n x columns: the first key's pair, or its negation's, whose
+    #: rows then hold the channels in reverse order (``flip``)
+    source: np.ndarray
+    flip: bool
+    #: the smallest minimum of any entry of the keys
+    lowest: float
+
+
+def _places(tab: _Tables, signs: tuple[int, ...], mirror: bool) -> list[_Place]:
+    """One ``_Place`` per position of a pass over the channel ``signs``, and
+    with ``mirror`` over its mirror too."""
+    places = []
+    for p in range(len(signs)):
+        keys = [signs[:p] + signs[p + 1:]]
+        if mirror:
+            keys.append(_negated(keys[0]))
+        flip = mirror and keys[0][:1] == (ABSORB,)
+        source = tab.pairs[keys[flip]] if mirror else tab.tables[keys[0]][None]
+        lowest = min(float(tab.mins[key].min(initial=np.inf)) for key in keys)
+        places.append(_Place(keys, source, flip, lowest))
+    return places
 
 
 def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
-          signs: tuple[int, ...], tab: _Tables, v_b: np.ndarray,
-          low: float) -> tuple[np.ndarray, float]:
-    """|A|^2 of a chunk's tuples, and the running minimum ``low`` lowered to
-    the smallest |real denominator| of their table entries.
+          places: list[_Place], tab: _Tables, v_b: np.ndarray, low: float,
+          work: _Work, spans: np.ndarray | None = None,
+          mismatch: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """|A|^2 of a chunk's tuples, a row per channel of ``places``, and the
+    running minimum ``low`` lowered to the smallest |real denominator| of the
+    table entries of each channel's own tuples. A mirrored chunk comes with
+    ``spans`` and with its ``mismatch`` rows, whose finite entries mark each
+    channel's own tuples; otherwise every tuple is the channel's own.
 
     Each first mode q takes V[q, b, :] of the destination b, the column
     v_b[:, q], dotted with the table entry of the other modes, which sums
     their orderings and carries their minima. The column base of the other
     prefix modes, a prefix mode's couplings, and the last position's entries
-    and minima are gathered once per prefix and repeated over its run of
-    ``counts`` tuples; every prefix has a tuple, so its minimum is theirs.
-    A prefix position's entries lie in the rows of their column bases, so
-    their minima are gathered only where a row's floor is below ``low``.
-    Each n-term dot is summed row by row, as ``sum(axis=0)`` sums a block
-    of several tuples; a one-tuple block, which numpy sums pairwise, keeps
-    ``sum(axis=0)``.
+    and minima are gathered once per prefix and spread over its run of
+    ``counts`` tuples (``_spread``); every prefix has a tuple, so its
+    minimum is theirs. The channels share the columns and the couplings,
+    and one gather from a pair of tables gives both channels' entries. A
+    position's minima are looked at only when one of its entries lies below
+    ``low``, and a prefix position's entries lie in the rows of their column
+    bases, so their minima are gathered only where a row's floor is below
+    ``low``. Each n-term dot is summed row by row, as ``sum(axis=0)`` sums a
+    block of several tuples; a one-tuple block, which numpy sums pairwise,
+    keeps a ``sum`` over the states.
     """
     level = len(prefix)
-    for p in range(level + 1):
-        key = signs[:p] + signs[p + 1:]
+    n, t, k = v_b.shape[0], last.size, len(places[0].keys)
+    coup, terms, amp = _carve(work.complex, (n, t), (k, n, t), (k, t))
+    amp2, spare = _carve(work.floats, (k, t), (k, t))
+    for p, (keys, source, flip, lowest) in enumerate(places):
         col = _column(tab.offsets, prefix[:p] + prefix[p + 1:], counts.size)
         if p < level:
-            lowers = tab.floors[key].take(col).min() < low
-            col = tab.offsets[level - 1].take(col).repeat(counts)
+            lowers = [lowest < low and tab.floors[key].take(col).min() < low
+                      for key in keys]
+            col = _spread(tab.offsets[level - 1].take(col), counts, spans,
+                          work.index[:t])
             col += last
-            terms = v_b.take(prefix[p], axis=1).repeat(counts, axis=1)
-            terms *= tab.tables[key].take(col, axis=1)
+            coupling = _spread(v_b.take(prefix[p], axis=1), counts, spans, coup)
+            entries = source.take(col, axis=2, out=terms, mode="wrap")
+            for c, key in enumerate(keys):
+                if lowers[c]:
+                    own = True if spans is None else np.isfinite(mismatch[c])
+                    least = tab.mins[key].take(col, out=spare[0], mode="wrap")
+                    low = min(low, float(least.min(initial=np.inf, where=own)))
         else:
-            lowers = True
-            terms = v_b.take(last, axis=1)
-            terms *= tab.tables[key].take(col, axis=1).repeat(counts, axis=1)
-        if lowers:
-            low = min(low, float(tab.mins[key].take(col).min()))
-        if last.size > 1:
-            # rows added in order into the block's first row; the first
-            # position's dot becomes the amplitude, so it takes its own array
-            dot = np.add(terms[0], terms[1], out=terms[0] if p else None)
-            for row in terms[2:]:
-                dot += row
+            coupling = v_b.take(last, axis=1, out=coup, mode="wrap")
+            entries = _spread(source.take(col, axis=2), counts, spans, terms)
+            for c, key in enumerate(keys):
+                if lowest < low:
+                    least = tab.mins[key].take(col)
+                    if spans is not None and least.min() < low:
+                        least = least.take(spans, out=spare[0], mode="wrap")
+                        least = least[np.isfinite(mismatch[c])]
+                    low = min(low, float(least.min(initial=np.inf)))
+        np.multiply(coupling, entries, out=terms)
+        into = amp[::-1] if flip else amp
+        if t > 1:
+            # rows added in order into the block's first row, or for the
+            # first position into the amplitude
+            dot = np.add(terms[:, 0], terms[:, 1], out=terms[:, 0] if p else into)
+            for i in range(2, n):
+                dot += terms[:, i]
         else:
-            dot = terms.sum(axis=0)
-        amp = np.add(amp, dot, out=amp) if p else dot
-        # free the position's block before the next one's is formed
-        del terms, dot
-    return amp.real**2 + amp.imag**2, low
+            dot = np.sum(terms, axis=1, out=None if p else into)
+        if p:
+            into += dot
+    np.square(amp.real, out=amp2)
+    amp2 += np.square(amp.imag, out=spare)
+    return amp2, low
 
 
 # ---------------------------------------------------------------------------
@@ -565,29 +754,56 @@ def _rates(
     points: _Points,
 ) -> list[RateBreakdown]:
     """The rates of b <- a at every point, from the tables of a and the
-    destination's couplings v_b[c, q] = V[q, b, c], one pruning pass per
-    channel. A chunk's contribution |A|^2 * (Bose product * lineshape) is
-    formed as one temperatures x tuples block and summed per row into the
-    chunk's mode-limit group; a limit's point is the running sum of the
-    groups up to its own.
+    destination's couplings v_b[c, q] = V[q, b, c]. Each channel s is pruned
+    together with its mirror -s when |omega_ba| <= MIRROR * window * sigma,
+    else alone. A chunk's contribution |A|^2 * (Bose product * lineshape) is
+    formed as one channels x temperatures x tuples block in the call's
+    workspace and summed per row into the chunk's mode-limit group; a
+    limit's point is the running sum of the groups up to its own.
     """
+    patterns = sign_patterns(order // 2)
+    mirror = abs(omega_ba) <= MIRROR * shape.halfwidth
+    k, n, temps = 1 + mirror, v_b.shape[0], len(points.factors[EMIT])
+    # with the mirror, a pass for each pattern that starts with EMIT
+    passes = patterns[:len(patterns) // k]
+    # a chunk holds fewer than k CHUNK + M candidates, and no channel more
+    # than C(M, order / 2) tuples
+    size = min(k * CHUNK + bath.n_modes, math.comb(bath.n_modes, order // 2))
+    work = _Work(k, n, size)
+    # the temperatures in blocks of up to work.rows, each block's Bose factor
+    # tables stacked over the channels
+    blocks = []
+    for start in range(0, temps, work.rows):
+        rows = slice(start, start + work.rows)
+        blocks.append((rows, {s: np.stack([f[rows] for f in (points.factors[s],
+                                                             points.factors[-s])][:k])
+                              for s in (EMIT, ABSORB)}))
     sums: dict[SignPattern, list[float]] = {}
     min_abs = np.inf
-    for pattern in sign_patterns(order // 2):
-        signs = pattern.signs
-        total = np.zeros((len(points.limits), len(points.factors[EMIT])))
-        for g, prefix, counts, last, mismatch in _chunks(omega_ba, pattern, bath, shape,
-                                                         points.limits):
-            amp2, min_abs = _amp2(prefix, counts, last, signs, tables, v_b, min_abs)
-            # an overflowing Bose factor leaves a non-finite rate for _breakdown
-            with np.errstate(over="ignore", invalid="ignore"):
-                bose = _bose_product(points.factors, prefix, counts, last, signs)
-                bose *= _weights(mismatch, shape)
-                bose *= amp2
-            total[g] += bose.sum(axis=1)
-            # free the chunk's blocks before the next chunk's are formed
-            del bose, amp2
-        sums[pattern] = np.cumsum(total, axis=0).ravel().tolist()
+    for pattern in passes:
+        places = _places(tables, pattern.signs, mirror)
+        total = np.zeros((k, len(points.limits), temps))
+        for g, prefix, counts, last, mismatch in _chunks(
+                omega_ba, pattern, bath, shape, points.limits, mirror):
+            t = last.size
+            d = mismatch.reshape(k, t)
+            # a mirrored chunk spreads a run's values through each tuple's run
+            spans = np.arange(counts.size).repeat(counts) if mirror else None
+            amp2, min_abs = _amp2(prefix, counts, last, places, tables, v_b, min_abs,
+                                  work, spans, d)
+            line = _weights(d, shape, _carve(work.floats, (k, t), (k, t))[1])
+            for rows, factors in blocks:
+                block = factors[EMIT].shape[:2] + (t,)
+                bose, spare = _carve(work.complex.view(float), block, block)
+                # an overflowing Bose factor leaves a non-finite rate for _breakdown
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _bose_product(factors, prefix, counts, last, pattern.signs, bose,
+                                  spans, spare)
+                    bose *= line[:, None]
+                    bose *= amp2[:, None]
+                total[:, g, rows] += bose.sum(axis=2)
+        for channel, part in zip((pattern, SignPattern(_negated(pattern.signs))), total):
+            sums[channel] = np.cumsum(part, axis=0).ravel().tolist()
     if min_abs < shape.eta / 10.0:
         warnings.warn(
             f"{ORDERS[order]}-phonon amplitude denominator within eta/10 of "

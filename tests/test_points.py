@@ -192,14 +192,15 @@ class TestFindCrossover:
 class TestOneKernelCallPerTransitionAndOrder:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Phonon count of every pruning pass, and the order and transition
-        of every ``rate_at_order`` call the generator and sweeps make."""
+        """Phonon count of every channel a pruning pass serves (two for a
+        pass with the mirror), and the order and transition of every
+        ``rate_at_order`` call the generator and sweeps make."""
         seen, calls = [], []
         chunks = rates._chunks
 
-        def counting_passes(omega_ba, pattern, *args):
-            seen.append(len(pattern))
-            return chunks(omega_ba, pattern, *args)
+        def counting_passes(omega_ba, pattern, bath, shape, limits, mirror=False):
+            seen.extend([len(pattern)] * (1 + mirror))
+            return chunks(omega_ba, pattern, bath, shape, limits, mirror)
 
         def counting_calls(order, b, a, *args, **kwargs):
             calls.append((order, b, a))

@@ -839,10 +839,11 @@ class TestPairTables:
             assert up.per_channel == {p: v * factor for p, v in down.per_channel.items()}
 
 
-def _amp2_per_tuple(prefix, counts, last, signs, tab, v_b):
+def _amp2_per_tuple(prefix, counts, last, signs, tab, v_b, members=True):
     """|A|^2 and smallest |real denominator| of a chunk, every operand
     gathered tuple by tuple: each position's n-term dot summed with
-    ``sum(axis=0)`` and added to a zeroed amplitude."""
+    ``sum(axis=0)`` and added to a zeroed amplitude. The minimum runs over
+    the tuples ``members`` marks (all by default)."""
     rows = np.repeat(np.arange(counts.size), counts)
     modes = tuple(ix[rows] for ix in prefix) + (last,)
     amp = np.zeros(last.size, dtype=complex)
@@ -854,7 +855,7 @@ def _amp2_per_tuple(prefix, counts, last, signs, tab, v_b):
             col = offset[col] + ix
         terms = v_b.take(modes[p], axis=1)
         terms *= tab.tables[key].take(col, axis=1)
-        low = min(low, float(tab.mins[key][col].min()))
+        low = min(low, float(tab.mins[key][col].min(initial=np.inf, where=members)))
         amp += terms.sum(axis=0)
     return amp.real**2 + amp.imag**2, low
 
@@ -872,7 +873,9 @@ class TestRunKernel:
     """The kernel repeats what is constant over a prefix run; each tuple's
     value is the one a tuple-by-tuple evaluation gives, to the bit, and the
     running minimum it returns is the smaller of the one it was given and
-    the chunk's per-tuple minimum."""
+    the chunk's per-tuple minimum. A mirrored chunk gives each of its two
+    channels the values of that channel's own evaluation, and its minimum
+    runs over each channel's own tuples."""
 
     @pytest.mark.parametrize("n_states", [2, 4])
     def test_run_kernel_equals_a_per_tuple_evaluation_bit_for_bit(self, monkeypatch,
@@ -887,7 +890,8 @@ class TestRunKernel:
         shape = Lineshape(sigma=4.0)
         points = rates._check_points([40.0, 300.0, 2000.0], None, None, bath,
                                      couplings.scale)
-        sizes = Counter()
+        work = {k: rates._Work(k, n_states, 2 * 4096 + bath.n_modes) for k in (1, 2)}
+        sizes, mirrored = Counter(), 0
         for order, (b, a) in itertools.product((2, 4, 6), ((1, 0), (0, n_states - 1))):
             args = (system.energies - system.energies[a], bath.frequencies,
                     couplings.matrices)
@@ -898,24 +902,41 @@ class TestRunKernel:
             below = np.nextafter(min(float(x.min()) for x in tab.mins.values()), 0.0)
             v_b = np.ascontiguousarray(couplings.matrices[:, b, :].T)
             omega_ba = system.transition_frequency(b, a)
-            for chunk, pattern in itertools.product((1, 5, 4096),
-                                                    sign_patterns(order // 2)):
+            for chunk, pattern, mirror in itertools.product(
+                    (1, 5, 4096), sign_patterns(order // 2), (False, True)):
+                if mirror and pattern.signs[0] != EMIT:
+                    continue
                 monkeypatch.setattr(rates, "CHUNK", chunk)
                 signs = pattern.signs
-                for _, prefix, counts, last, _ in rates._chunks(
-                        omega_ba, pattern, bath, shape, [bath.n_modes]):
+                channels = [signs, tuple(-s for s in signs)][:1 + mirror]
+                factors = {s: np.stack([points.factors[s],
+                                        points.factors[-s]][:1 + mirror])
+                           for s in (EMIT, ABSORB)}
+                for _, prefix, counts, last, d in rates._chunks(
+                        omega_ba, pattern, bath, shape, [bath.n_modes], mirror):
                     sizes[min(last.size, 3)] += 1
-                    want, want_low = _amp2_per_tuple(prefix, counts, last, signs, tab,
-                                                     v_b)
+                    d = d.reshape(len(channels), -1)
+                    spans = np.repeat(np.arange(counts.size), counts) if mirror else None
+                    mirrored += mirror
+                    want = [_amp2_per_tuple(prefix, counts, last, each, tab, v_b, own)
+                            for each, own in zip(channels, np.isfinite(d))]
+                    want_low = min(low for _, low in want)
+                    places = rates._places(tab, signs, mirror)
                     for start in (np.inf, below, want_low):
-                        amp2, low = rates._amp2(prefix, counts, last, signs, tab, v_b,
-                                                start)
-                        assert np.array_equal(amp2, want) and low == min(start, want_low)
-                    assert np.array_equal(
-                        rates._bose_product(points.factors, prefix, counts, last, signs),
-                        _bose_per_tuple(points.factors, prefix, counts, last, signs))
+                        amp2, low = rates._amp2(prefix, counts, last, places, tab, v_b,
+                                                start, work[len(channels)], spans, d)
+                        assert all(np.array_equal(row, w)
+                                   for row, (w, _) in zip(amp2, want))
+                        assert low == min(start, want_low)
+                    bose, spare = (np.empty((len(channels), 3, last.size))
+                                   for _ in range(2))
+                    rates._bose_product(factors, prefix, counts, last, signs, bose, spans,
+                                        spare)
+                    assert all(np.array_equal(row, _bose_per_tuple(points.factors, prefix,
+                                                                   counts, last, each))
+                               for row, each in zip(bose, channels))
         # one-tuple chunks, whose n-term dots numpy sums pairwise, and longer ones
-        assert sizes[1] > 10 and sizes[3] > 10
+        assert sizes[1] > 10 and sizes[3] > 10 and mirrored > 100
 
 
 def _denominator_floor(model, b, a, order, shape):
@@ -997,6 +1018,7 @@ class TestRunningMinimum:
         v_b = np.ascontiguousarray(model.couplings.matrices[:, b, :].T)
         smallest = min(float(x.min()) for x in tab.mins.values())
         assert abs(smallest - 1e-9) < 1e-14
+        work = rates._Work(1, 2, 4096 + freqs.size)
         for chunk in (1, 5, 4096):
             monkeypatch.setattr(rates, "CHUNK", chunk)
             low = math.inf
@@ -1007,8 +1029,9 @@ class TestRunningMinimum:
                         shape, [freqs.size]):
                     lows.append(_amp2_per_tuple(prefix, counts, last, pattern.signs,
                                                 tab, v_b)[1])
-                    _, low = rates._amp2(prefix, counts, last, pattern.signs, tab, v_b,
-                                         low)
+                    _, low = rates._amp2(prefix, counts, last,
+                                         rates._places(tab, pattern.signs, False), tab,
+                                         v_b, low, work)
                     assert low == min(lows + [low])
                 if pattern.signs == (ABSORB, EMIT, ABSORB):
                     assert lows[-1] == smallest
@@ -1035,3 +1058,155 @@ class TestRunningMinimum:
                 rate_at_order(order, b, a, *model, 300.0, shape)
             assert len(record) == 1
             assert str(record[0].message).endswith(f"(|x| = {want:.3e} cm^-1)")
+
+
+class TestMirroredPass:
+    """A transition whose |omega_ba| is small against window * sigma prunes
+    each channel s together with its mirror -s, in one pass over the union
+    of their windows, and evaluates both on every tuple of it; a tuple
+    counts for a channel exactly when its own mismatch lies in the window."""
+
+    def test_each_channel_keeps_exactly_its_window(self, monkeypatch):
+        """Against a brute-force enumeration of every strictly ordered tuple,
+        its mismatch folded left to right with each channel's signs: the pass
+        yields the tuples inside either window, in order within each group,
+        and row c of its mismatches is channel c's fold there and +inf
+        outside channel c's window. omega_ba puts a tuple of one channel on
+        the window's edge or an ulp off it."""
+        from spinphonon import rates
+
+        rng = np.random.default_rng(3)
+        kept = Counter()
+        for trial in range(600):
+            m = int(rng.integers(3, 9))
+            freqs = np.sort(rng.uniform(5.0, 300.0, m) * rng.choice([1.0, 1e-3, 7.1]))
+            if trial % 3 == 0:
+                freqs[1] = freqs[0]
+            shape = Lineshape(kind=("gaussian", "lorentzian")[trial % 2],
+                              sigma=float(rng.uniform(0.1, 20.0)))
+            half = shape.halfwidth
+            k = int(rng.choice([1, 2, 3]))
+            pattern = sign_patterns(k)[rng.integers(2**k)]
+            channels = [pattern.signs, tuple(-s for s in pattern.signs)]
+            edged = channels[rng.integers(2)]
+            modes = sorted(rng.choice(m, k, replace=False).tolist())
+            edge = float(rng.choice([-half, half]))
+            omega_ba = edge - sum(s * freqs[q] for s, q in zip(edged, modes))
+            omega_ba = float(np.nextafter(omega_ba, rng.choice([-np.inf, 0.0, np.inf])))
+            tuples = np.array(list(itertools.combinations(range(m), k)),
+                              dtype=np.intp).reshape(-1, k)
+            folds = []
+            for signs in channels:
+                arg = np.full(len(tuples), omega_ba)
+                for s, col in zip(signs, tuples.T):
+                    arg = arg + s * freqs[col]
+                folds.append(np.where(np.abs(arg) <= half, arg, np.inf))
+            folds = np.array(folds)
+            inside = np.isfinite(folds)
+            union = inside.any(axis=0)
+            limits = [m // 2, m]
+            monkeypatch.setattr(rates, "CHUNK", (1, 5, 4096)[trial % 3])
+            chunks = list(rates._chunks(omega_ba, pattern, PhononBath(freqs), shape,
+                                        limits, True))
+            groups = [g for g, *_ in chunks]
+            assert groups == sorted(groups)
+            for g, (low, high) in enumerate(zip([0, m // 2], limits)):
+                own = union & (low <= tuples[:, -1]) & (tuples[:, -1] < high)
+                got = [per_tuple((h, prefix, counts, last, d[0]))[1] + (d,)
+                       for h, prefix, counts, last, d in chunks if h == g]
+                assert np.array_equal(
+                    np.concatenate([tuples[:0]] + [np.column_stack(x[:-1]) for x in got]),
+                    tuples[own]), (trial, g)
+                mismatch = np.concatenate([np.empty((2, 0))] + [x[-1] for x in got],
+                                          axis=1)
+                assert np.array_equal(mismatch, folds[:, own]), (trial, g)
+            kept.update(inside[:, union].sum(axis=1) < union.sum())
+        # each channel keeps only part of the union in many trials
+        assert kept[True] > 100
+
+    @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    def test_paired_rate_equals_the_unpaired_one(self, monkeypatch, n_states, kind):
+        """Every channel of every transition, at orders 2, 4 and 6, agrees to
+        1e-13 relative between one pass for s and -s and one pass each, on
+        both sides of the pairing rule, and so do the warnings."""
+        from spinphonon import NearResonantDenominatorWarning, rates
+
+        shape = Lineshape(kind=kind, eta=8.0)
+        rule = rates.MIRROR * shape.halfwidth
+        sides = Counter()
+        for gap in (0.9 * rule, 1.1 * rule):
+            model = generate_model(ModelSpec(seed=90 + n_states, n_states=n_states,
+                                             n_modes=16, gap=gap,
+                                             excited_offset=0.5 * rule,
+                                             freq_range=(20.0, 150.0)))
+            for (b, a), order in itertools.product(
+                    itertools.permutations(range(n_states), 2), (2, 4, 6)):
+                paired = abs(model.system.transition_frequency(b, a)) <= rule
+                sides[paired] += 1
+                results = []
+                for mirror in (rates.MIRROR, -1.0 if paired else math.inf):
+                    monkeypatch.setattr(rates, "MIRROR", mirror)
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always", NearResonantDenominatorWarning)
+                        rate = rate_at_order(order, b, a, *model, [40.0, 300.0], shape)
+                    results.append((rate, [str(w.message) for w in caught]))
+                (one, said), (two, said_two) = results
+                assert said == said_two
+                for x, y in zip(one, two):
+                    assert max_channel_dev(x, y) <= 1e-13, (gap, b, a, order)
+                    assert all((x.per_channel[p] == 0.0) == (y.per_channel[p] == 0.0)
+                               for p in x.per_channel)
+        assert sides[True] >= 6 and sides[False] >= 6
+
+    @pytest.mark.parametrize("n_modes, freq_max", [(120, 200.0), (300, 560.0)])
+    def test_chunk_loop_allocates_no_block(self, monkeypatch, n_modes, freq_max):
+        """Under tracemalloc, with the tables built beforehand: what the
+        kernel allocates while it evaluates a chunk, and what an order-6
+        rate call holds beyond its workspace and the peak of its pruning
+        passes alone, each stay below one n x CHUNK complex block."""
+        from spinphonon import rates
+
+        model = generate_model(ModelSpec(seed=5, n_states=2, n_modes=n_modes,
+                                         freq_range=(20.0, freq_max)))
+        system, bath, couplings = model
+        shape = Lineshape()
+        b, a = 0, 1
+        omega_ba = system.transition_frequency(b, a)
+        assert abs(omega_ba) <= rates.MIRROR * shape.halfwidth
+        tab = rates._source_tables(6, a, system.energies - system.energies[a],
+                                   bath.frequencies, couplings.matrices, shape.eta)
+        v_b = np.ascontiguousarray(couplings.matrices[:, b, :].T)
+        points = rates._check_points(300.0, None, None, bath, couplings.scale)
+        block = system.n_states * rates.CHUNK * np.dtype(complex).itemsize
+        chunks, work = rates._chunks, rates._Work
+        per_chunk, made = [], []
+
+        def watched(*args):
+            for chunk in chunks(*args):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                yield chunk
+                per_chunk.append(tracemalloc.get_traced_memory()[1] - held)
+
+        class Counted(work):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self.index.nbytes + self.floats.nbytes + self.complex.nbytes)
+
+        tracemalloc.start()
+        try:
+            for pattern in sign_patterns(3)[:4]:
+                for _ in chunks(omega_ba, pattern, bath, shape, [bath.n_modes], True):
+                    pass
+            pruning = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(rates, "_chunks", watched)
+            monkeypatch.setattr(rates, "_Work", Counted)
+            rates._rates(6, omega_ba, tab, v_b, bath, shape, points)
+            call = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 1 and len(per_chunk) > 10
+        assert max(per_chunk) < block, (max(per_chunk), block)
+        assert call - made[0] - pruning < block, (call, made[0], pruning, block)
