@@ -40,10 +40,10 @@ several coupling scales. Each chunk is evaluated vectorized on the calling
 thread; its |A|^2 is computed once and reduced against every point: one
 channels x temperatures x tuples block, its rows summed into the chunk's
 group, added in chunk order, so results are bit-stable from run to run.
-Every per-tuple block is a view of one workspace per call (``_Work``);
-only a lone channel's ``repeat`` expansions allocate blocks per chunk. The
-``threads`` argument of the public rate functions, an integer of at least
-1, is ignored.
+Every per-tuple block is a view of one workspace per call (``_Work``),
+except a lone channel's ``repeat`` expansions (``_spread``), which
+allocate. The ``threads`` argument of the public rate functions, an
+integer of at least 1, is ignored.
 
 Before its chunk loop, a rate call tabulates its source's amplitudes as one
 recursion over levels, each adding one mode and one denominator. Level 0 is
@@ -124,7 +124,7 @@ CHUNK = 4096
 #: A transition's channels s and -s are pruned and evaluated in one pass
 #: when |omega_ba| <= MIRROR * window * sigma. Their windows lie 2 |omega_ba|
 #: apart, so they then overlap by at least three quarters of one; one pass
-#: was measured faster than two up to about 0.35 (module docstring).
+#: was measured faster than two up to about 0.35 on 300-mode doublets.
 MIRROR = 0.25
 
 _TWO_PI = 2.0 * np.pi
@@ -210,10 +210,11 @@ def _weights(d: np.ndarray, shape: Lineshape, out: np.ndarray) -> np.ndarray:
 
 
 def _spread(runs: np.ndarray, counts: np.ndarray, spans: np.ndarray | None,
-            out: np.ndarray | None) -> np.ndarray:
+            out: np.ndarray) -> np.ndarray:
     """A block with one column per prefix run, written out over each run's
-    ``counts`` tuples: as a new block by ``repeat`` when ``spans`` is None,
-    else into ``out`` through ``spans``, the run of each tuple."""
+    ``counts`` tuples: into ``out`` through ``spans``, the run of each tuple,
+    or, when ``spans`` is None (a lone channel), as a new block by
+    ``repeat``, which is faster and reads no per-tuple index."""
     if spans is None:
         return runs.repeat(counts, axis=-1)
     return runs.take(spans, axis=-1, out=out, mode="wrap")
@@ -421,32 +422,8 @@ class _Tables(NamedTuple):
     pairs: dict[tuple[int, ...], np.ndarray]
 
 
-#: rows of an M x width product formed at a time in ``_source_tables``
-_ROWS = 64
-
-
 def _negated(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-s for s in key)
-
-
-def _apply(v_c: np.ndarray, pair: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """The M x 2 x width block, raveled, whose [q, j] row is sum_d v_c[q, d]
-    pair[j, d]: V^q[c, :] applied to both tables of a pair. Formed as n
-    multiply-adds over the states, up to _ROWS rows at a time through
-    ``spare``, so numpy alone does it and no BLAS thread is started."""
-    m, n = v_c.shape
-    block = np.empty((m,) + pair.shape[::2], dtype=complex)
-    row = pair[:, 0].size or 1
-    rows = max(1, min(_ROWS, spare.size // row))
-    if rows * row > spare.size:
-        spare = np.empty(row, dtype=complex)
-    for q in range(0, m, rows):
-        out = block[q:q + rows]
-        term = spare[:out.size].reshape(out.shape)
-        np.multiply(v_c[q:q + rows, 0, None, None], pair[:, 0], out=out)
-        for d in range(1, n):
-            out += np.multiply(v_c[q:q + rows, d, None, None], pair[:, d], out=term)
-    return block.ravel()
 
 
 def _column(offsets: list[np.ndarray], modes: tuple[np.ndarray, ...],
@@ -466,8 +443,9 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
     """The tables of every transition out of a, levels 0 to order / 2 - 1,
     sized in the module docstring. Each level is built one state c at a
     time, beside one M x 2 x width block of scratch per pair of the level
-    below (``_apply``): each child's terms are one flat gather from its
-    raveled block, at an index precomputed per level."""
+    below, V^q[c, :] applied to both tables of the pair by one matrix
+    product: each child's terms are one flat gather from its raveled block,
+    at an index precomputed per level."""
     m, n = v.shape[:2]
     unit = np.zeros((2, n, 1), dtype=complex)
     unit[:, a] = 1.0
@@ -506,7 +484,7 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
             inner = {}
             for k, pair in pairs.items():
                 if len(k) == level - 1:
-                    block = _apply(v[:, c, :], pair, buf)
+                    block = (v[:, c, :] @ pair.transpose(1, 0, 2).reshape(n, -1)).ravel()
                     inner[_negated(k)], inner[k] = block[width:], block
             for key in keys:
                 # sum the children's terms in order in the state's row and
@@ -535,8 +513,8 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
 class _Work:
     """Scratch of one rate call over k channels per pass (1, or 2 with the
     mirror) and n states, for chunks of up to ``size`` tuples: every
-    per-tuple block of a chunk is a contiguous view of it (``_carve``), so
-    the chunk loop allocates no such block. Per tuple it holds one index,
+    per-tuple block of a chunk but a lone channel's ``repeat`` expansions
+    is a contiguous view of it (``_carve``). Per tuple it holds one index,
     2 k floats (|A|^2 and the lineshape) and (k + 1) n + k complex numbers:
     the couplings, terms and amplitudes of ``_amp2``, whose floats then hold
     the Bose blocks of up to ``rows`` temperatures at a time."""
@@ -592,21 +570,21 @@ def _places(tab: _Tables, signs: tuple[int, ...], mirror: bool) -> list[_Place]:
 
 def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
           places: list[_Place], tab: _Tables, v_b: np.ndarray, low: float,
-          work: _Work, spans: np.ndarray | None = None,
-          mismatch: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+          work: _Work, spans: np.ndarray | None,
+          mismatch: np.ndarray) -> tuple[np.ndarray, float]:
     """|A|^2 of a chunk's tuples, a row per channel of ``places``, and the
     running minimum ``low`` lowered to the smallest |real denominator| of the
-    table entries of each channel's own tuples. A mirrored chunk comes with
-    ``spans`` and with its ``mismatch`` rows, whose finite entries mark each
-    channel's own tuples; otherwise every tuple is the channel's own.
+    table entries of each channel's own tuples: those whose entry in the
+    channel's row of ``mismatch`` is finite. ``spans`` holds the prefix run
+    of each tuple of a mirrored chunk, and is None for a lone channel.
 
     Each first mode q takes V[q, b, :] of the destination b, the column
     v_b[:, q], dotted with the table entry of the other modes, which sums
     their orderings and carries their minima. The column base of the other
     prefix modes, a prefix mode's couplings, and the last position's entries
     and minima are gathered once per prefix and spread over its run of
-    ``counts`` tuples (``_spread``); every prefix has a tuple, so its
-    minimum is theirs. The channels share the columns and the couplings,
+    ``counts`` tuples (``_spread``); the minima are spread only when one of
+    them lies below ``low``. The channels share the columns and the couplings,
     and one gather from a pair of tables gives both channels' entries. A
     position's minima are looked at only when one of its entries lies below
     ``low``, and a prefix position's entries lie in the rows of their column
@@ -631,19 +609,19 @@ def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
             entries = source.take(col, axis=2, out=terms, mode="wrap")
             for c, key in enumerate(keys):
                 if lowers[c]:
-                    own = True if spans is None else np.isfinite(mismatch[c])
                     least = tab.mins[key].take(col, out=spare[0], mode="wrap")
-                    low = min(low, float(least.min(initial=np.inf, where=own)))
+                    low = min(low, float(least.min(initial=np.inf,
+                                                   where=np.isfinite(mismatch[c]))))
         else:
             coupling = v_b.take(last, axis=1, out=coup, mode="wrap")
             entries = _spread(source.take(col, axis=2), counts, spans, terms)
             for c, key in enumerate(keys):
                 if lowest < low:
                     least = tab.mins[key].take(col)
-                    if spans is not None and least.min() < low:
-                        least = least.take(spans, out=spare[0], mode="wrap")
-                        least = least[np.isfinite(mismatch[c])]
-                    low = min(low, float(least.min(initial=np.inf)))
+                    if least.min() < low:
+                        least = _spread(least, counts, spans, spare[0])
+                        low = min(low, float(least.min(initial=np.inf,
+                                                       where=np.isfinite(mismatch[c]))))
         np.multiply(coupling, entries, out=terms)
         into = amp[::-1] if flip else amp
         if t > 1:

@@ -1024,14 +1024,14 @@ class TestRunningMinimum:
             low = math.inf
             for pattern in sign_patterns(3):
                 lows = []
-                for _, prefix, counts, last, _ in rates._chunks(
+                for _, prefix, counts, last, d in rates._chunks(
                         model.system.transition_frequency(b, a), pattern, model.bath,
                         shape, [freqs.size]):
                     lows.append(_amp2_per_tuple(prefix, counts, last, pattern.signs,
                                                 tab, v_b)[1])
                     _, low = rates._amp2(prefix, counts, last,
                                          rates._places(tab, pattern.signs, False), tab,
-                                         v_b, low, work)
+                                         v_b, low, work, None, d[None])
                     assert low == min(lows + [low])
                 if pattern.signs == (ABSORB, EMIT, ABSORB):
                     assert lows[-1] == smallest
