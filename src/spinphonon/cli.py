@@ -44,6 +44,12 @@ from .sweeps import find_crossover, sweep_cutoff, sweep_lambda, sweep_temperatur
 _ORACLE_TOL = 1e-10
 _ORDERS = ",".join(map(str, ORDERS))
 
+#: Most points a --grid may hold. A temperature grid keeps two Bose factor
+#: tables of npoints x M floats (8 bytes each) and their copies stacked per
+#: channel: at 10 000 points and M = 300 each table takes 24 MB. Larger
+#: grids are split into several calls.
+_GRID_MAX = 10_000
+
 
 def _parse_orders(text: str) -> tuple[int, ...]:
     try:
@@ -74,6 +80,10 @@ def _parse_grid(text: str) -> np.ndarray:
         )
     if npts < 1 or not start < stop:
         raise argparse.ArgumentTypeError("grid needs start < stop and npoints >= 1")
+    if npts > _GRID_MAX:
+        # reported as any request too large to allocate is: exit 1
+        raise MemoryError(f"grid of {npts} points is larger than {_GRID_MAX}; "
+                          "split it into several calls")
     if len(parts) == 4:
         if start <= 0:
             raise argparse.ArgumentTypeError("log grids need a positive start")

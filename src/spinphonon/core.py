@@ -192,6 +192,11 @@ class Lineshape:
             raise ValueError("eta must be finite and positive")
         if not (math.isfinite(self.window) and self.window > 0.0):
             raise ValueError("window must be finite and positive")
+        # the weights take window * sigma and sigma * sigma
+        if not (math.isfinite(self.window * self.sigma)
+                and math.isfinite(self.sigma * self.sigma)):
+            raise ValueError(f"window * sigma and sigma * sigma must be finite, got "
+                             f"sigma {self.sigma:g} and window {self.window:g}")
 
     @property
     def halfwidth(self) -> float:

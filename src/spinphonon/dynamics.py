@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import ORDERS, Lineshape, Model, check_order, validate_model
-from .rates import _single_point, rate_at_order
+from .rates import RateBreakdown, rate_at_order
 
 #: Relative threshold below which an eigenvalue real part counts as the
 #: conserved (stationary) mode rather than a decay mode.
@@ -101,7 +101,6 @@ def order_generator_matrices(
         raise ValueError("orders must not be empty")
     system, bath, couplings = model
     n = system.n_states
-    single = _single_point(temperature, mode_limits, scales)
     out: dict[int, np.ndarray] = {}
     for order in orders:
         m = None
@@ -113,6 +112,8 @@ def order_generator_matrices(
                         order, b, a, system, bath, couplings, temperature,
                         shape, mode_limits=mode_limits, scales=scales, _pair=pair,
                     )
+                    # one point given as scalars comes as one RateBreakdown
+                    single = isinstance(rates, RateBreakdown)
                     rates = [rates] if single else rates
                     if m is None:
                         m = np.zeros((len(rates), n, n))

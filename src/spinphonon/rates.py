@@ -40,10 +40,9 @@ several coupling scales. Each chunk is evaluated vectorized on the calling
 thread; its |A|^2 is computed once and reduced against every point: one
 channels x temperatures x tuples block, its rows summed into the chunk's
 group, added in chunk order, so results are bit-stable from run to run.
-Every per-tuple block is a view of one workspace per call (``_Work``),
-except a lone channel's ``repeat`` expansions (``_spread``), which
-allocate. The ``threads`` argument of the public rate functions, an
-integer of at least 1, is ignored.
+Every per-tuple block is a view of one workspace per call (``_Work``). The
+``threads`` argument of the public rate functions, an integer of at least
+1, is ignored.
 
 Before its chunk loop, a rate call tabulates its source's amplitudes as one
 recursion over levels, each adding one mode and one denominator. Level 0 is
@@ -68,9 +67,9 @@ evaluated per prefix run: what depends on the prefix alone (the entry of the
 prefix set that the last mode's couplings dot, with its minimum, the column
 base of each entry the prefix modes' couplings dot, those couplings and the
 prefix phonons' Bose factors) is gathered once per prefix and spread over
-the run (``_spread``). Each
-tuple's products and sums take the same operands in the same order as when
-gathered tuple by tuple, so its value does not depend on the runs. The
+the run through each tuple's run index. Each tuple's products and sums
+take the same operands in the same order as when gathered tuple by tuple,
+so its value depends on neither the runs nor the chunk's size. The
 smallest |real denominator| of a call is a running minimum over its chunks:
 a chunk gathers the minima of a prefix position's entries, one per tuple,
 only when the floor of one of their rows lies below it, so the minimum, and
@@ -209,33 +208,21 @@ def _weights(d: np.ndarray, shape: Lineshape, out: np.ndarray) -> np.ndarray:
     return np.divide(s / np.pi, x, out=x)
 
 
-def _spread(runs: np.ndarray, counts: np.ndarray, spans: np.ndarray | None,
-            out: np.ndarray) -> np.ndarray:
-    """A block with one column per prefix run, written out over each run's
-    ``counts`` tuples: into ``out`` through ``spans``, the run of each tuple,
-    or, when ``spans`` is None (a lone channel), as a new block by
-    ``repeat``, which is faster and reads no per-tuple index."""
-    if spans is None:
-        return runs.repeat(counts, axis=-1)
-    return runs.take(spans, axis=-1, out=out, mode="wrap")
-
-
 def _bose_product(factors: dict[int, np.ndarray], prefix: tuple[np.ndarray, ...],
-                  counts: np.ndarray, last: np.ndarray, signs: tuple[int, ...],
-                  out: np.ndarray, spans: np.ndarray | None,
-                  spare: np.ndarray) -> np.ndarray:
+                  last: np.ndarray, signs: tuple[int, ...], out: np.ndarray,
+                  spans: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Channels x temperatures x tuples, written to ``out``: n + 1 per
     emitted, n per absorbed phonon, left to right. ``factors`` maps the first
     channel's sign (``signs``) to a channels x temperatures x M table whose
     row c holds the factors of channel c's sign. The prefix phonons' factors
-    are multiplied once per prefix, then spread over its run (``_spread``,
-    into ``spare``)."""
+    are multiplied once per prefix, then spread over its run through
+    ``spans``, the run of each tuple, into ``spare``."""
     factors[signs[-1]].take(last, axis=2, out=out, mode="wrap")
     if prefix:
         product = factors[signs[0]].take(prefix[0], axis=2)
         for s, ix in zip(signs[1:], prefix[1:]):
             product *= factors[s].take(ix, axis=2)
-        np.multiply(out, _spread(product, counts, spans, spare), out=out)
+        out *= product.take(spans, axis=2, out=spare, mode="wrap")
     return out
 
 
@@ -278,7 +265,8 @@ def _chunks(
     but the last): the chunk's group, one index array per prefix phonon with
     one entry per run, each run's length (``counts``, at least 1, summing to
     the number of tuples), each tuple's last index (run after run, ascending
-    within each) and the tuples' mismatches. All index arrays are intp.
+    within each) and the tuples' mismatches, a channels x tuples array. All
+    index arrays are intp.
 
     The tuples are strictly index-ordered, with mismatch ((omega_ba + s0 w_i)
     + s1 w_j) + s2 w_k inside [-window * sigma, window * sigma] and last
@@ -294,11 +282,11 @@ def _chunks(
     empty ones are skipped.
 
     With ``mirror``, one pass serves the channel s of ``pattern`` and -s: it
-    keeps the tuples inside either window, and the mismatches come as a
-    2 x tuples array, row 0 folded with s and row 1 with -s, each row +inf
-    where its channel's mismatch lies outside the window. The binary
-    searches cover the union of the two windows, widened by a slack, so the
-    exact filter alone decides which tuples each channel keeps.
+    keeps the tuples inside either window, row 0 of the mismatches folded
+    with s and row 1 with -s, each row +inf where its channel's mismatch lies
+    outside the window. The binary searches cover the union of the two
+    windows, widened by a slack, so the exact filter alone decides which
+    tuples each channel keeps.
     """
     freqs = bath.frequencies
     if not freqs.size:
@@ -356,17 +344,15 @@ def _chunks(
             for fold, step, row in zip(folds, steps, d):
                 step(fold[part].repeat(counts), w, out=row)
             inside = np.abs(d) <= half
-            keep = inside[0] | inside[1] if mirror else inside[0]
-            if mirror:
-                d[~inside] = np.inf
+            keep = inside.any(axis=0)
+            d[~inside] = np.inf
             if not keep.all():
                 ix, d = ix[keep], d[:, keep]
                 counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.intp)
                 # the prefixes that kept no candidate leave the chunk
                 part, counts = part[counts > 0], counts[counts > 0]
             if ix.size:
-                yield (group, tuple(prev[part] for prev in prefix), counts, ix,
-                       d if mirror else d[0])
+                yield group, tuple(prev[part] for prev in prefix), counts, ix, d
 
 
 def prune_triples(
@@ -513,11 +499,11 @@ def _source_tables(order: int, a: int, d_e: np.ndarray, freqs: np.ndarray,
 class _Work:
     """Scratch of one rate call over k channels per pass (1, or 2 with the
     mirror) and n states, for chunks of up to ``size`` tuples: every
-    per-tuple block of a chunk but a lone channel's ``repeat`` expansions
-    is a contiguous view of it (``_carve``). Per tuple it holds one index,
-    2 k floats (|A|^2 and the lineshape) and (k + 1) n + k complex numbers:
-    the couplings, terms and amplitudes of ``_amp2``, whose floats then hold
-    the Bose blocks of up to ``rows`` temperatures at a time."""
+    per-tuple block of a chunk is a contiguous view of it (``_carve``). Per
+    tuple it holds one index, 2 k floats (|A|^2 and the lineshape) and
+    (k + 1) n + k complex numbers: the couplings, terms and amplitudes of
+    ``_amp2``, whose floats then hold the Bose blocks of up to ``rows``
+    temperatures at a time."""
 
     def __init__(self, k: int, n: int, size: int):
         self.index = np.empty(size, dtype=np.intp)
@@ -570,28 +556,26 @@ def _places(tab: _Tables, signs: tuple[int, ...], mirror: bool) -> list[_Place]:
 
 def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
           places: list[_Place], tab: _Tables, v_b: np.ndarray, low: float,
-          work: _Work, spans: np.ndarray | None,
+          work: _Work, spans: np.ndarray,
           mismatch: np.ndarray) -> tuple[np.ndarray, float]:
     """|A|^2 of a chunk's tuples, a row per channel of ``places``, and the
     running minimum ``low`` lowered to the smallest |real denominator| of the
     table entries of each channel's own tuples: those whose entry in the
     channel's row of ``mismatch`` is finite. ``spans`` holds the prefix run
-    of each tuple of a mirrored chunk, and is None for a lone channel.
+    of each tuple.
 
     Each first mode q takes V[q, b, :] of the destination b, the column
     v_b[:, q], dotted with the table entry of the other modes, which sums
     their orderings and carries their minima. The column base of the other
     prefix modes, a prefix mode's couplings, and the last position's entries
-    and minima are gathered once per prefix and spread over its run of
-    ``counts`` tuples (``_spread``); the minima are spread only when one of
-    them lies below ``low``. The channels share the columns and the couplings,
-    and one gather from a pair of tables gives both channels' entries. A
-    position's minima are looked at only when one of its entries lies below
-    ``low``, and a prefix position's entries lie in the rows of their column
-    bases, so their minima are gathered only where a row's floor is below
-    ``low``. Each n-term dot is summed row by row, as ``sum(axis=0)`` sums a
-    block of several tuples; a one-tuple block, which numpy sums pairwise,
-    keeps a ``sum`` over the states.
+    and minima are gathered once per prefix and spread over its run through
+    ``spans``; the minima are spread only when one of them lies below
+    ``low``. The channels share the columns and the couplings, and one gather
+    from a pair of tables gives both channels' entries. A position's minima
+    are looked at only when one of its entries lies below ``low``, and a
+    prefix position's entries lie in the rows of their column bases, so their
+    minima are gathered only where a row's floor is below ``low``. Each
+    n-term dot is summed row by row, whatever the chunk's size.
     """
     level = len(prefix)
     n, t, k = v_b.shape[0], last.size, len(places[0].keys)
@@ -602,10 +586,11 @@ def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
         if p < level:
             lowers = [lowest < low and tab.floors[key].take(col).min() < low
                       for key in keys]
-            col = _spread(tab.offsets[level - 1].take(col), counts, spans,
-                          work.index[:t])
+            col = tab.offsets[level - 1].take(col).take(spans, out=work.index[:t],
+                                                         mode="wrap")
             col += last
-            coupling = _spread(v_b.take(prefix[p], axis=1), counts, spans, coup)
+            coupling = v_b.take(prefix[p], axis=1).take(spans, axis=1, out=coup,
+                                                        mode="wrap")
             entries = source.take(col, axis=2, out=terms, mode="wrap")
             for c, key in enumerate(keys):
                 if lowers[c]:
@@ -614,24 +599,21 @@ def _amp2(prefix: tuple[np.ndarray, ...], counts: np.ndarray, last: np.ndarray,
                                                    where=np.isfinite(mismatch[c]))))
         else:
             coupling = v_b.take(last, axis=1, out=coup, mode="wrap")
-            entries = _spread(source.take(col, axis=2), counts, spans, terms)
+            entries = source.take(col, axis=2).take(spans, axis=2, out=terms, mode="wrap")
             for c, key in enumerate(keys):
                 if lowest < low:
                     least = tab.mins[key].take(col)
                     if least.min() < low:
-                        least = _spread(least, counts, spans, spare[0])
+                        least = least.take(spans, out=spare[0], mode="wrap")
                         low = min(low, float(least.min(initial=np.inf,
                                                        where=np.isfinite(mismatch[c]))))
         np.multiply(coupling, entries, out=terms)
         into = amp[::-1] if flip else amp
-        if t > 1:
-            # rows added in order into the block's first row, or for the
-            # first position into the amplitude
-            dot = np.add(terms[:, 0], terms[:, 1], out=terms[:, 0] if p else into)
-            for i in range(2, n):
-                dot += terms[:, i]
-        else:
-            dot = np.sum(terms, axis=1, out=None if p else into)
+        # rows added in order into the block's first row, or for the first
+        # position into the amplitude
+        dot = np.add(terms[:, 0], terms[:, 1], out=terms[:, 0] if p else into)
+        for i in range(2, n):
+            dot += terms[:, i]
         if p:
             into += dot
     np.square(amp.real, out=amp2)
@@ -667,12 +649,6 @@ class _Points(NamedTuple):
     single: bool
 
 
-def _single_point(temperature, mode_limits, scales) -> bool:
-    """Whether the points (as in ``rate_at_order``) are one point given as
-    scalars, whose rate is reported as one RateBreakdown rather than a list."""
-    return np.ndim(temperature) == 0 and mode_limits is None and scales is None
-
-
 def _check_points(
     temperature: float | Sequence[float],
     mode_limits: Sequence[int] | None,
@@ -684,7 +660,6 @@ def _check_points(
 
     Temperatures are checked one by one where their occupations are formed.
     """
-    single = _single_point(temperature, mode_limits, scales)
     temperatures = np.asarray(temperature, dtype=float)
     axes = (temperatures.ndim != 0) + (mode_limits is not None) + (scales is not None)
     if temperatures.ndim > 1 or axes > 1:
@@ -712,7 +687,7 @@ def _check_points(
         )
     occ = np.array([_occupations(bath.frequencies, float(t))
                     for t in np.atleast_1d(temperatures)])
-    return _Points({EMIT: occ + 1.0, ABSORB: occ}, limits, scales.tolist(), single)
+    return _Points({EMIT: occ + 1.0, ABSORB: occ}, limits, scales.tolist(), axes == 0)
 
 
 def _boltzmann(gap: float, temperature: float) -> float:
@@ -764,19 +739,17 @@ def _rates(
         for g, prefix, counts, last, mismatch in _chunks(
                 omega_ba, pattern, bath, shape, points.limits, mirror):
             t = last.size
-            d = mismatch.reshape(k, t)
-            # a mirrored chunk spreads a run's values through each tuple's run
-            spans = np.arange(counts.size).repeat(counts) if mirror else None
+            # a run's values are spread through each tuple's run
+            spans = np.arange(counts.size).repeat(counts)
             amp2, min_abs = _amp2(prefix, counts, last, places, tables, v_b, min_abs,
-                                  work, spans, d)
-            line = _weights(d, shape, _carve(work.floats, (k, t), (k, t))[1])
+                                  work, spans, mismatch)
+            line = _weights(mismatch, shape, _carve(work.floats, (k, t), (k, t))[1])
             for rows, factors in blocks:
                 block = factors[EMIT].shape[:2] + (t,)
                 bose, spare = _carve(work.complex.view(float), block, block)
                 # an overflowing Bose factor leaves a non-finite rate for _breakdown
                 with np.errstate(over="ignore", invalid="ignore"):
-                    _bose_product(factors, prefix, counts, last, pattern.signs, bose,
-                                  spans, spare)
+                    _bose_product(factors, prefix, last, pattern.signs, bose, spans, spare)
                     bose *= line[:, None]
                     bose *= amp2[:, None]
                 total[:, g, rows] += bose.sum(axis=2)

@@ -473,6 +473,36 @@ class TestInputValidation:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    def test_grid_above_the_bound_exits_1_while_parsing(self, tmp_path, capsys):
+        from spinphonon.cli import _GRID_MAX, _parse_grid
+
+        assert _parse_grid(f"1:2:{_GRID_MAX}").size == _GRID_MAX
+        model = gen_model_file(tmp_path)
+        for command in ("sweep-temp", "sweep-cutoff", "sweep-lambda"):
+            assert run_cli([command, "--input", str(model),
+                            "--grid", f"1:2:{_GRID_MAX + 1}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "split" in captured.err
+
+    # a width whose square overflows: numpy's overflow warning and zero
+    # rates before, silently zero rates for the Lorentzian
+    @pytest.mark.parametrize("width", [
+        ["--sigma", "1e308"],
+        ["--sigma", "8e307", "--window", "1"],
+        ["--sigma", "1e200", "--lineshape", "lorentzian"],
+    ])
+    def test_overflowing_lineshape_width_exits_1(self, tmp_path, capsys, width):
+        model = gen_model_file(tmp_path)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli(["rates", "--input", str(model), "--orders", "2",
+                            *width]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+        assert not seen
+
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     @pytest.mark.parametrize("command", [
         ["t1"],

@@ -129,6 +129,21 @@ class TestLineshape:
         with pytest.raises(ValueError):
             Lineshape(eta=-1.0)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "lorentzian"])
+    @pytest.mark.parametrize("sigma, window", [
+        (1e308, 6.0), (8e307, 1.0), (1e200, 6.0), (2e154, 1.0), (1e10, 1e300),
+    ])
+    def test_overflowing_width_is_rejected(self, kind, sigma, window):
+        """window * sigma or sigma * sigma overflows: the weights would
+        overflow or silently read 0."""
+        with pytest.raises(ValueError, match="must be finite"):
+            Lineshape(kind=kind, sigma=sigma, window=window)
+
+    def test_largest_widths_are_kept(self):
+        shape = Lineshape(kind="lorentzian", sigma=1e150, window=1e150)
+        assert math.isfinite(shape.halfwidth)
+        assert lineshape_weight(0.0, shape) > 0.0
+
 
 class TestSignPattern:
     def test_labels_round_trip(self):

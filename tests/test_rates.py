@@ -236,8 +236,9 @@ class TestPruneTriples:
                     fold = omega_ba
                     for s, ix in zip(pattern.signs, sel):
                         fold = fold + s * freqs[ix]
+                    assert mismatch.shape == (1, fold.size)
                     assert mismatch.dtype == fold.dtype == np.float64
-                    assert np.array_equal(mismatch.view(np.int64), fold.view(np.int64))
+                    assert np.array_equal(mismatch[0].view(np.int64), fold.view(np.int64))
                     assert np.all(np.abs(mismatch) <= shape.halfwidth)
 
     def test_chunks_hold_fewer_than_chunk_plus_m_tuples(self):
@@ -841,9 +842,9 @@ class TestPairTables:
 
 def _amp2_per_tuple(prefix, counts, last, signs, tab, v_b, members=True):
     """|A|^2 and smallest |real denominator| of a chunk, every operand
-    gathered tuple by tuple: each position's n-term dot summed with
-    ``sum(axis=0)`` and added to a zeroed amplitude. The minimum runs over
-    the tuples ``members`` marks (all by default)."""
+    gathered tuple by tuple: each position's n-term dot summed row by row
+    and added to a zeroed amplitude. The minimum runs over the tuples
+    ``members`` marks (all by default)."""
     rows = np.repeat(np.arange(counts.size), counts)
     modes = tuple(ix[rows] for ix in prefix) + (last,)
     amp = np.zeros(last.size, dtype=complex)
@@ -856,7 +857,10 @@ def _amp2_per_tuple(prefix, counts, last, signs, tab, v_b, members=True):
         terms = v_b.take(modes[p], axis=1)
         terms *= tab.tables[key].take(col, axis=1)
         low = min(low, float(tab.mins[key][col].min(initial=np.inf, where=members)))
-        amp += terms.sum(axis=0)
+        dot = terms[0] + terms[1]
+        for row in terms[2:]:
+            dot += row
+        amp += dot
     return amp.real**2 + amp.imag**2, low
 
 
@@ -870,7 +874,7 @@ def _bose_per_tuple(factors, prefix, counts, last, signs):
 
 
 class TestRunKernel:
-    """The kernel repeats what is constant over a prefix run; each tuple's
+    """The kernel spreads what is constant over a prefix run; each tuple's
     value is the one a tuple-by-tuple evaluation gives, to the bit, and the
     running minimum it returns is the smaller of the one it was given and
     the chunk's per-tuple minimum. A mirrored chunk gives each of its two
@@ -915,8 +919,7 @@ class TestRunKernel:
                 for _, prefix, counts, last, d in rates._chunks(
                         omega_ba, pattern, bath, shape, [bath.n_modes], mirror):
                     sizes[min(last.size, 3)] += 1
-                    d = d.reshape(len(channels), -1)
-                    spans = np.repeat(np.arange(counts.size), counts) if mirror else None
+                    spans = np.repeat(np.arange(counts.size), counts)
                     mirrored += mirror
                     want = [_amp2_per_tuple(prefix, counts, last, each, tab, v_b, own)
                             for each, own in zip(channels, np.isfinite(d))]
@@ -930,13 +933,54 @@ class TestRunKernel:
                         assert low == min(start, want_low)
                     bose, spare = (np.empty((len(channels), 3, last.size))
                                    for _ in range(2))
-                    rates._bose_product(factors, prefix, counts, last, signs, bose, spans,
-                                        spare)
+                    rates._bose_product(factors, prefix, last, signs, bose, spans, spare)
                     assert all(np.array_equal(row, _bose_per_tuple(points.factors, prefix,
                                                                    counts, last, each))
                                for row, each in zip(bose, channels))
-        # one-tuple chunks, whose n-term dots numpy sums pairwise, and longer ones
+        # one-tuple chunks and longer ones
         assert sizes[1] > 10 and sizes[3] > 10 and mirrored > 100
+
+    def test_amp2_of_a_tuple_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        """Every tuple's |A|^2 in a rate call is the same to the bit at CHUNK 1,
+        5 and 4096: one-tuple chunks sum their 4-term dots row by row as
+        every other chunk does. 0 <- 2 runs lone passes, 0 <- 1 mirrored
+        ones."""
+        from spinphonon import rates
+
+        model = generate_model(ModelSpec(seed=21, n_states=4, n_modes=40, gap=1.0,
+                                         excited_offset=100.0))
+        shape = Lineshape()
+        amp2 = rates._amp2
+        seen = []
+
+        def recording(prefix, counts, last, places, *args):
+            got, low = amp2(prefix, counts, last, places, *args)
+            rows = np.repeat(np.arange(counts.size), counts)
+            seen.append((tuple(places[0].keys),
+                         np.column_stack([ix[rows] for ix in prefix] + [last]),
+                         got.copy()))
+            return got, low
+
+        monkeypatch.setattr(rates, "_amp2", recording)
+        runs = {}
+        for chunk in (1, 5, 4096):
+            monkeypatch.setattr(rates, "CHUNK", chunk)
+            seen.clear()
+            for b, a in ((0, 2), (0, 1)):
+                rate_at_order(6, b, a, *model, 300.0, shape)
+            passes = {}
+            for keys, modes, values in seen:
+                passes.setdefault(keys, []).append((modes, values))
+            runs[chunk] = {keys: (np.concatenate([m for m, _ in parts]),
+                                  np.concatenate([v for _, v in parts], axis=1))
+                           for keys, parts in passes.items()}
+        assert len(runs[1][next(iter(runs[1]))][0]) > 1000
+        for chunk in (5, 4096):
+            assert runs[chunk].keys() == runs[1].keys()
+            for keys, (modes, values) in runs[chunk].items():
+                assert np.array_equal(modes, runs[1][keys][0])
+                assert np.array_equal(values.view(np.int64),
+                                      runs[1][keys][1].view(np.int64)), (chunk, keys)
 
 
 def _denominator_floor(model, b, a, order, shape):
@@ -1031,7 +1075,8 @@ class TestRunningMinimum:
                                                 tab, v_b)[1])
                     _, low = rates._amp2(prefix, counts, last,
                                          rates._places(tab, pattern.signs, False), tab,
-                                         v_b, low, work, None, d[None])
+                                         v_b, low, work,
+                                         np.repeat(np.arange(counts.size), counts), d)
                     assert low == min(lows + [low])
                 if pattern.signs == (ABSORB, EMIT, ABSORB):
                     assert lows[-1] == smallest
@@ -1164,49 +1209,55 @@ class TestMirroredPass:
         """Under tracemalloc, with the tables built beforehand: what the
         kernel allocates while it evaluates a chunk, and what an order-6
         rate call holds beyond its workspace and the peak of its pruning
-        passes alone, each stay below one n x CHUNK complex block."""
+        passes alone, each stay below one n x CHUNK complex block. At gap 1
+        the passes are mirrored, at gap 100 lone."""
         from spinphonon import rates
 
-        model = generate_model(ModelSpec(seed=5, n_states=2, n_modes=n_modes,
-                                         freq_range=(20.0, freq_max)))
-        system, bath, couplings = model
-        shape = Lineshape()
-        b, a = 0, 1
-        omega_ba = system.transition_frequency(b, a)
-        assert abs(omega_ba) <= rates.MIRROR * shape.halfwidth
-        tab = rates._source_tables(6, a, system.energies - system.energies[a],
-                                   bath.frequencies, couplings.matrices, shape.eta)
-        v_b = np.ascontiguousarray(couplings.matrices[:, b, :].T)
-        points = rates._check_points(300.0, None, None, bath, couplings.scale)
-        block = system.n_states * rates.CHUNK * np.dtype(complex).itemsize
         chunks, work = rates._chunks, rates._Work
-        per_chunk, made = [], []
+        for gap in (1.0, 100.0):
+            model = generate_model(ModelSpec(seed=5, n_states=2, n_modes=n_modes,
+                                             gap=gap, freq_range=(20.0, freq_max)))
+            system, bath, couplings = model
+            shape = Lineshape()
+            b, a = 0, 1
+            omega_ba = system.transition_frequency(b, a)
+            mirror = abs(omega_ba) <= rates.MIRROR * shape.halfwidth
+            assert mirror == (gap == 1.0)
+            tab = rates._source_tables(6, a, system.energies - system.energies[a],
+                                       bath.frequencies, couplings.matrices, shape.eta)
+            v_b = np.ascontiguousarray(couplings.matrices[:, b, :].T)
+            points = rates._check_points(300.0, None, None, bath, couplings.scale)
+            block = system.n_states * rates.CHUNK * np.dtype(complex).itemsize
+            per_chunk, made = [], []
 
-        def watched(*args):
-            for chunk in chunks(*args):
-                held = tracemalloc.get_traced_memory()[0]
+            def watched(*args):
+                for chunk in chunks(*args):
+                    held = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    yield chunk
+                    per_chunk.append(tracemalloc.get_traced_memory()[1] - held)
+
+            class Counted(work):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    made.append(self.index.nbytes + self.floats.nbytes
+                                + self.complex.nbytes)
+
+            tracemalloc.start()
+            try:
+                for pattern in sign_patterns(3)[:8 // (1 + mirror)]:
+                    for _ in chunks(omega_ba, pattern, bath, shape, [bath.n_modes],
+                                    mirror):
+                        pass
+                pruning = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
-                yield chunk
-                per_chunk.append(tracemalloc.get_traced_memory()[1] - held)
-
-        class Counted(work):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self.index.nbytes + self.floats.nbytes + self.complex.nbytes)
-
-        tracemalloc.start()
-        try:
-            for pattern in sign_patterns(3)[:4]:
-                for _ in chunks(omega_ba, pattern, bath, shape, [bath.n_modes], True):
-                    pass
-            pruning = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            monkeypatch.setattr(rates, "_chunks", watched)
-            monkeypatch.setattr(rates, "_Work", Counted)
-            rates._rates(6, omega_ba, tab, v_b, bath, shape, points)
-            call = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(made) == 1 and len(per_chunk) > 10
-        assert max(per_chunk) < block, (max(per_chunk), block)
-        assert call - made[0] - pruning < block, (call, made[0], pruning, block)
+                monkeypatch.setattr(rates, "_chunks", watched)
+                monkeypatch.setattr(rates, "_Work", Counted)
+                rates._rates(6, omega_ba, tab, v_b, bath, shape, points)
+                call = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            assert len(made) == 1 and len(per_chunk) > 10, gap
+            assert max(per_chunk) < block, (gap, max(per_chunk), block)
+            assert call - made[0] - pruning < block, (gap, call, made[0], pruning, block)
